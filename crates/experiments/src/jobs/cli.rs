@@ -27,21 +27,22 @@
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use sim_telemetry::flight::{self, ArmedGuard};
 use sim_telemetry::{
-    flight, CellRecord, FlightRecorder, Json, ProgressEvent, ProgressWriter, TraceCollector,
-    TraceId,
+    progress_path, CellRecord, FlightRecorder, ProgressWriter, TraceCollector, TraceId,
 };
 
-use super::journal::Journal;
+use super::journal::{journal_path, Journal};
 use super::pool::{
-    run_campaign_with, CampaignOutcome, CellTask, ProgressSink, RunControls, RunnerConfig,
+    run_campaign, CampaignOutcome, CancelToken, CellTask, RunControls, RunnerConfig, WorkerSlots,
 };
 use super::registry::ExperimentDef;
 use super::{cell_id, faults, CellSet};
 use crate::runner::Scale;
-use crate::telemetry::{self, TelemetryCtx};
+use crate::telemetry::{self, Session, TelemetryCtx};
 
 /// Where campaign journals live unless `REPRO_JOURNAL_DIR` says otherwise.
 pub const DEFAULT_JOURNAL_DIR: &str = "results/journal";
@@ -101,7 +102,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         })
         .collect();
 
-    let driven = drive_campaign(tool, scale, &session, tasks);
+    let driven = drive_campaign(&session, tasks);
 
     for def in defs {
         let mut cells = CellSet::new();
@@ -136,165 +137,44 @@ pub(crate) struct DrivenCampaign {
 }
 
 /// The campaign execution core shared by the exact driver ([`drive`])
-/// and the sampled driver ([`crate::sample::drive_sampled`]): journal
-/// create/resume, fault installation, progress stream, flight recorder,
-/// trace export, pool execution, and manifest cell records. The caller
-/// owns task enumeration, rendering, and the exit epilogue.
-pub(crate) fn drive_campaign(
-    tool: &str,
-    scale: Scale,
-    session: &telemetry::Session,
-    tasks: Vec<CellTask>,
-) -> DrivenCampaign {
+/// and the sampled driver ([`crate::sample::drive_sampled`]): run id and
+/// journal location from the environment, fault installation, the
+/// banner, and [`Campaign`] open and run. The caller owns task
+/// enumeration, rendering, and the exit epilogue.
+pub(crate) fn drive_campaign(session: &Session, tasks: Vec<CellTask>) -> DrivenCampaign {
     let config = RunnerConfig::from_env().unwrap_or_else(|e| operator_error(&e));
     let journal_dir = PathBuf::from(
         env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
     );
-    let ctx = session.ctx();
-
-    let (run_id, mut journal, trace_id) = match env_nonempty("REPRO_RESUME") {
-        Some(id) => {
-            let journal = Journal::resume(&journal_dir, &id, tool, scale)
-                .unwrap_or_else(|e| operator_error(&e));
-            // A resumed run keeps the original campaign's trace id so all
-            // artifacts of one logical campaign — across resumes —
-            // correlate; journals from before the id existed get a fresh
-            // one.
-            let trace_id = journal
-                .trace_id()
-                .map(str::to_string)
-                .unwrap_or_else(|| TraceId::mint().to_string());
-            (id, journal, trace_id)
-        }
-        None => {
-            let id = env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool));
-            let trace_id = TraceId::mint().to_string();
-            // Bake the resume command into the header at create time:
-            // whoever finds this journal after a crash (the epilogue,
-            // `repro-serve`'s status endpoint) can surface it verbatim.
-            let resume = resume_command(tool, &id, scale, &journal_dir);
-            let journal = Journal::create_with_meta(
-                &journal_dir,
-                &id,
-                tool,
-                scale,
-                tasks.len(),
-                Some(&resume),
-                Some(&trace_id),
-            )
-            .unwrap_or_else(|e| {
-                operator_error(&format!(
-                    "cannot create journal {}: {e}",
-                    super::journal::journal_path(&journal_dir, &id).display()
-                ))
-            });
-            (id, journal, trace_id)
-        }
-    };
-    if let Some(hub) = ctx.hub() {
-        hub.set_trace_id(&trace_id);
-    }
+    let resume = env_nonempty("REPRO_RESUME");
+    let run_id = resume.clone().unwrap_or_else(|| {
+        env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(&session.tool))
+    });
+    let campaign = Campaign::open(
+        session,
+        &run_id,
+        &journal_dir,
+        resume.as_deref(),
+        tasks.len(),
+    )
+    .unwrap_or_else(|e| operator_error(&e));
 
     // The fault guard must outlive the campaign so workload truncation
     // faults stay visible to trace generation on worker threads.
     let _faults = faults::install(config.faults.clone());
 
-    let progress = session.config().progress.then(|| {
-        let dir = &session.config().progress_dir;
-        let writer = ProgressWriter::create(dir, &run_id).unwrap_or_else(|e| {
-            operator_error(&format!(
-                "cannot create progress stream {}: {e}",
-                sim_telemetry::progress_path(dir, &run_id).display()
-            ))
-        });
-        let sink = ProgressSink::new(writer, session.config().progress_tick);
-        sink.emit(&ProgressEvent::CampaignStarted {
-            run: run_id.clone(),
-            tool: tool.to_string(),
-            scale: scale.name().to_string(),
-            total: tasks.len() as u64,
-            workers: config.workers as u64,
-            trace_id: trace_id.clone(),
-            unix_ms: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        });
-        sink
-    });
-
-    // The always-on flight recorder: armed into the panic-hook registry
-    // for the campaign's lifetime, disarmed (guard drop) on normal exit.
-    let recorder = FlightRecorder::new(
-        &session.config().flight_dir,
-        &run_id,
-        &trace_id,
-        session.config().flight_capacity,
-    );
-    let _armed = flight::arm(&recorder);
-    recorder.record(
-        "campaign-started",
-        [
-            ("run", Json::from(run_id.as_str())),
-            ("tool", Json::from(tool)),
-            ("scale", Json::from(scale.name())),
-            ("cells", Json::from(tasks.len() as u64)),
-        ],
-    );
-    let trace = session
-        .config()
-        .trace_export
-        .enabled()
-        .then(|| TraceCollector::new(&run_id, &trace_id));
-
     println!(
-        "run: {run_id}  trace: {trace_id}  scale: {}  cells: {}  workers: {}  journal: {}\n",
-        scale.name(),
+        "run: {run_id}  trace: {}  scale: {}  cells: {}  workers: {}  journal: {}\n",
+        campaign.trace_id,
+        session.scale.name(),
         tasks.len(),
         config.workers,
-        journal.path().display()
+        campaign.journal.path().display()
     );
 
-    let controls = RunControls {
-        flight: Some(recorder.clone()),
-        trace: trace.clone(),
-        ..RunControls::default()
-    };
-    let outcome = run_campaign_with(
-        tasks,
-        &config,
-        &mut journal,
-        &ctx,
-        progress.as_ref(),
-        &controls,
-    )
-    .unwrap_or_else(|e| operator_error(&e));
-    record_cells(&ctx, &outcome);
-
-    if let Some(trace) = &trace {
-        trace.close_open("killed");
-        if let Some(hub) = ctx.hub() {
-            trace.add_spans(hub.spans());
-        }
-        match trace.write(&session.config().traceviz_dir) {
-            Ok(path) => println!("trace export: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write trace export: {e}"),
-        }
-    }
-
-    if let Some(sink) = &progress {
-        let failed = outcome.failures().count() as u64;
-        let total = outcome.reports.len() as u64;
-        let t_ms = sink.t_ms();
-        sink.emit(&ProgressEvent::CampaignFinished {
-            done: total - failed,
-            failed,
-            total,
-            wall_ms: t_ms,
-            t_ms,
-        });
-    }
-
+    let outcome = campaign
+        .run(tasks, &config, None, None)
+        .unwrap_or_else(|e| operator_error(&e));
     DrivenCampaign {
         run_id,
         journal_dir,
@@ -302,22 +182,141 @@ pub(crate) fn drive_campaign(
     }
 }
 
-/// Mirrors every cell outcome into the telemetry manifest. Shared with
-/// the `repro-serve` per-request execution path.
-pub(crate) fn record_cells(ctx: &TelemetryCtx, outcome: &CampaignOutcome) {
-    if let Some(hub) = ctx.hub() {
-        for r in &outcome.reports {
-            hub.record_cell(CellRecord {
-                cell: r.cell.clone(),
-                ok: r.outcome.is_ok(),
-                attempts: r.attempts,
-                deadline_kills: r.deadline_kills,
-                resumed: r.resumed,
-                reason: r.outcome.as_ref().err().cloned(),
-                wall_ms: r.wall_ms,
-                instructions: r.instructions,
-            });
+/// An open campaign: its journal, correlation id, and armed lifecycle
+/// sinks, built once from the session's [`sim_telemetry::TelemetryConfig`]
+/// for both the batch drivers and `repro-serve`.
+pub(crate) struct Campaign {
+    /// The campaign journal (created, or resumed with its records).
+    pub journal: Journal,
+    /// The trace id every artifact of the campaign carries.
+    pub trace_id: String,
+    ctx: TelemetryCtx,
+    controls: RunControls,
+    trace: Option<(TraceCollector, PathBuf)>,
+    _armed: ArmedGuard,
+}
+
+impl Campaign {
+    /// Opens the session's campaign (its tool and scale) as `run_id`,
+    /// the name of its progress stream, flight dump, and trace export.
+    /// Resumes the journal `resume` under `journal_dir`, or creates
+    /// `<journal_dir>/<run_id>.jsonl` for `cells` cells; either way the
+    /// journal settles the trace id (a resumed one keeps its own). Then
+    /// builds the sinks: the always-on flight recorder (armed for the
+    /// panic hook until the campaign drops), the progress stream when
+    /// `REPRO_PROGRESS` is on, and the Chrome trace collector when an
+    /// export is requested.
+    pub fn open(
+        session: &Session,
+        run_id: &str,
+        journal_dir: &Path,
+        resume: Option<&str>,
+        cells: usize,
+    ) -> Result<Campaign, String> {
+        let (tool, scale) = (session.tool.as_str(), session.scale);
+        let journal = match resume {
+            Some(id) => Journal::resume(journal_dir, id, tool, scale)?,
+            None => {
+                // Bake the resume command into the header at create time:
+                // whoever finds this journal after a crash (the epilogue,
+                // `repro-serve`'s status endpoint) can surface it verbatim.
+                let command = resume_command(tool, run_id, scale, journal_dir);
+                Journal::create_with_meta(
+                    journal_dir,
+                    run_id,
+                    tool,
+                    scale,
+                    cells,
+                    Some(&command),
+                    Some(&TraceId::mint().to_string()),
+                )
+                .map_err(|e| {
+                    let path = journal_path(journal_dir, run_id);
+                    format!("cannot create journal {}: {e}", path.display())
+                })?
+            }
+        };
+        let trace_id = journal.trace_id().unwrap_or_default().to_string();
+        let ctx = session.ctx();
+        if let Some(hub) = ctx.hub() {
+            hub.set_trace_id(&trace_id);
         }
+
+        let config = session.config();
+        let recorder = FlightRecorder::new(
+            &config.flight_dir,
+            run_id,
+            &trace_id,
+            config.flight_capacity,
+        );
+        let armed = flight::arm(&recorder);
+        let mut controls = RunControls {
+            sinks: vec![Arc::new(recorder)],
+            ..RunControls::default()
+        };
+        if config.progress {
+            let writer = ProgressWriter::create(&config.progress_dir, run_id).map_err(|e| {
+                let path = progress_path(&config.progress_dir, run_id);
+                format!("cannot create progress stream {}: {e}", path.display())
+            })?;
+            controls.sinks.push(Arc::new(writer));
+            controls.heartbeat = Some(config.progress_tick);
+        }
+        let trace = config.trace_export.enabled().then(|| {
+            let collector = TraceCollector::new(run_id, &trace_id);
+            controls.sinks.push(Arc::new(collector.clone()));
+            (collector, config.traceviz_dir.clone())
+        });
+        Ok(Campaign {
+            journal,
+            trace_id,
+            ctx,
+            controls,
+            trace,
+            _armed: armed,
+        })
+    }
+
+    /// Runs `tasks` on the pool, then mirrors every cell outcome into the
+    /// telemetry manifest and writes the trace export. `cancel` and
+    /// `slots` are the daemon's embedding hooks.
+    pub fn run(
+        mut self,
+        tasks: Vec<CellTask>,
+        config: &RunnerConfig,
+        cancel: Option<CancelToken>,
+        slots: Option<WorkerSlots>,
+    ) -> Result<CampaignOutcome, String> {
+        let controls = RunControls {
+            cancel,
+            slots,
+            ..self.controls
+        };
+        let outcome = run_campaign(tasks, config, &mut self.journal, &self.ctx, &controls)?;
+        if let Some(hub) = self.ctx.hub() {
+            for r in &outcome.reports {
+                hub.record_cell(CellRecord {
+                    cell: r.cell.clone(),
+                    ok: r.outcome.is_ok(),
+                    attempts: r.attempts,
+                    deadline_kills: r.deadline_kills,
+                    resumed: r.resumed,
+                    reason: r.outcome.as_ref().err().cloned(),
+                    wall_ms: r.wall_ms,
+                    instructions: r.instructions,
+                });
+            }
+        }
+        if let Some((trace, dir)) = &self.trace {
+            if let Some(hub) = self.ctx.hub() {
+                trace.add_spans(hub.spans());
+            }
+            match trace.write(dir) {
+                Ok(path) => println!("trace export: {}", path.display()),
+                Err(e) => eprintln!("warning: cannot write trace export: {e}"),
+            }
+        }
+        Ok(outcome)
     }
 }
 

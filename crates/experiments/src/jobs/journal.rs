@@ -190,7 +190,7 @@ impl Journal {
         let (_, header_line) = lines
             .next()
             .ok_or_else(|| format!("{}: journal is empty", path.display()))?;
-        let header = parse(header_line)
+        let mut header = parse(header_line)
             .map_err(|e| format!("{}:1: corrupt journal header: {e}", path.display()))?;
         for (field, want) in [("tool", tool), ("scale", scale.name())] {
             let got = header.get(field).and_then(Json::as_str).unwrap_or("?");
@@ -200,6 +200,14 @@ impl Journal {
                      this invocation is {field}={want}"
                 ));
             }
+        }
+        // One logical campaign keeps one trace id across resumes; a
+        // journal written before ids existed gets one here, persisted
+        // with the next append.
+        if let Json::Obj(fields) = &mut header {
+            fields
+                .entry("trace_id".to_string())
+                .or_insert_with(|| Json::from(sim_telemetry::TraceId::mint().to_string()));
         }
         let mut records = BTreeMap::new();
         for (i, line) in lines {
@@ -224,6 +232,19 @@ impl Journal {
         &self.path
     }
 
+    /// The tool that wrote the journal (header `tool`).
+    pub fn tool(&self) -> &str {
+        self.header.get("tool").and_then(Json::as_str).unwrap_or("")
+    }
+
+    /// The scale the journal was written at (header `scale`).
+    pub fn scale(&self) -> &str {
+        self.header
+            .get("scale")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+    }
+
     /// The copy-pasteable resume command recorded in the header, if the
     /// journal was created with one (journals from older runs have
     /// none).
@@ -232,8 +253,8 @@ impl Journal {
     }
 
     /// The campaign correlation trace id recorded in the header, if the
-    /// journal was created with one (journals from older runs have
-    /// none). Resumed runs reuse this id so all artifacts of a logical
+    /// journal was created with one; a resumed journal always has one.
+    /// Resumed runs reuse this id so all artifacts of a logical
     /// campaign — across resumes — correlate.
     pub fn trace_id(&self) -> Option<&str> {
         self.header.get("trace_id").and_then(Json::as_str)

@@ -41,8 +41,7 @@ pub mod registry;
 pub use faults::FaultPlan;
 pub use journal::{Journal, JournalRecord};
 pub use pool::{
-    run_campaign, run_campaign_with, CampaignOutcome, CancelToken, CellReport, RunControls,
-    RunnerConfig, WorkerSlots,
+    run_campaign, CampaignOutcome, CancelToken, CellReport, RunControls, RunnerConfig, WorkerSlots,
 };
 pub use registry::ExperimentDef;
 

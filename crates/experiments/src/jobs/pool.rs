@@ -14,26 +14,25 @@
 //! cell's final outcome is journaled atomically the moment it resolves,
 //! which is what makes a `kill -9` resumable.
 //!
-//! Two optional [`RunControls`] make the pool embeddable in a resident
-//! daemon ([`crate::serve`]): a [`CancelToken`] stops the campaign at
-//! the next cell boundary (in-flight cells finish and are journaled;
-//! pending cells are reported `cancelled` *without* journaling, so a
-//! resumed run re-executes exactly those), and shared [`WorkerSlots`]
-//! bound the total attempts in flight across many concurrent campaigns
-//! in one process.
+//! [`RunControls`] makes the pool observable and embeddable. The
+//! scheduler emits exactly one [`CampaignEvent`] per lifecycle
+//! transition to every sink it holds (the progress stream, the flight
+//! recorder, the Chrome trace), always after journaling the outcome the
+//! event reports. For a resident daemon ([`crate::serve`]), a
+//! [`CancelToken`] stops the campaign at the next cell boundary
+//! (in-flight cells finish and are journaled; pending cells are reported
+//! `cancelled` *without* journaling, so a resumed run re-executes exactly
+//! those), and shared [`WorkerSlots`] bound the total attempts in flight
+//! across many concurrent campaigns in one process.
 
 use super::faults::FaultPlan;
 use super::journal::{Journal, JournalRecord};
 use super::CellData;
 use crate::telemetry::TelemetryCtx;
-use sim_telemetry::manifest::per_sec;
-use sim_telemetry::{
-    eta_ms, flight, FlightRecorder, Json, ProgressEvent, ProgressWriter, SampleRow, Sampler,
-    TraceCollector,
-};
+use sim_telemetry::{flight, CampaignEvent, CampaignSink, CellTally, SampleRow};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
@@ -128,48 +127,6 @@ impl RunnerConfig {
 
 fn env_nonempty(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
-}
-
-/// Where a campaign's live progress events go: the stream writer plus
-/// the campaign clock every event's `t_ms` is measured against. Built by
-/// the driver ([`super::cli`]) when the session's `REPRO_PROGRESS` knob
-/// is on; the writer is shared with the heartbeat sampler thread.
-pub struct ProgressSink {
-    writer: Arc<ProgressWriter>,
-    started: Instant,
-    tick: Duration,
-}
-
-impl ProgressSink {
-    /// Wraps an open stream and starts the campaign clock; `tick` is the
-    /// heartbeat/sampler period.
-    pub fn new(writer: ProgressWriter, tick: Duration) -> ProgressSink {
-        ProgressSink {
-            writer: Arc::new(writer),
-            started: Instant::now(),
-            tick,
-        }
-    }
-
-    /// Milliseconds since the campaign clock started.
-    pub fn t_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Appends one event. A write failure (full disk, yanked volume)
-    /// degrades observability, never the campaign: it is reported once
-    /// on stderr and otherwise dropped.
-    pub fn emit(&self, event: &ProgressEvent) {
-        static WARNED: Once = Once::new();
-        if let Err(e) = self.writer.emit(event) {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "progress: cannot append to {}: {e}",
-                    self.writer.path().display()
-                );
-            });
-        }
-    }
 }
 
 /// A cooperative cancellation flag shared between a campaign and
@@ -275,24 +232,30 @@ impl WorkerSlots {
     }
 }
 
-/// Optional embedding hooks for [`run_campaign_with`]: a cancellation
-/// token, a shared cross-campaign worker budget, and the observability
-/// taps. `Default` (all `None`) reproduces plain batch behaviour
-/// exactly.
+/// Embedding hooks and lifecycle observers for [`run_campaign`].
+/// `Default` (no cancellation, no shared budget, no sinks) is plain
+/// batch behaviour.
 #[derive(Clone, Default)]
 pub struct RunControls {
     /// Cooperative cancellation, observed at cell boundaries.
     pub cancel: Option<CancelToken>,
     /// Shared attempt budget across concurrent campaigns.
     pub slots: Option<WorkerSlots>,
-    /// Always-on flight recorder: the scheduler records every cell
-    /// transition into it and dumps the ring on cell failure after
-    /// retries and on deadline sweeps.
-    pub flight: Option<FlightRecorder>,
-    /// Chrome trace collector: per-attempt slices on worker lanes plus
-    /// retry/kill instants, driven from the single-threaded scheduler so
-    /// timestamps are monotone per lane by construction.
-    pub trace: Option<TraceCollector>,
+    /// Renderers of the campaign's lifecycle stream; each sees every
+    /// event, in order, from the scheduler thread.
+    pub sinks: Vec<Arc<dyn CampaignSink>>,
+    /// Heartbeat period: one `Heartbeat` event per tick (and, when the
+    /// telemetry context carries a hub, one manifest time-series row).
+    /// `None` emits only the closing heartbeat.
+    pub heartbeat: Option<Duration>,
+}
+
+impl RunControls {
+    fn emit(&self, event: CampaignEvent<'_>) {
+        for sink in &self.sinks {
+            sink.on_event(&event);
+        }
+    }
 }
 
 /// The final report for one cell.
@@ -313,6 +276,17 @@ pub struct CellReport {
     /// Simulated instructions processed across this run's attempts (for
     /// a resumed cell: the count its journal record carried).
     pub instructions: u64,
+}
+
+impl CellReport {
+    fn tally(&self) -> CellTally<'_> {
+        CellTally {
+            cell: &self.cell,
+            attempts: self.attempts,
+            wall_ms: self.wall_ms,
+            instructions: self.instructions,
+        }
+    }
 }
 
 /// Everything a campaign produced, reports in task order.
@@ -357,6 +331,7 @@ enum Msg {
 }
 
 /// Scheduler-side state for one task.
+#[derive(Default)]
 struct TaskState {
     attempts_used: u32,
     deadline_kills: u32,
@@ -375,15 +350,30 @@ struct TaskState {
     done: bool,
 }
 
+impl TaskState {
+    /// This run's report for the cell, with the given final outcome.
+    fn report(&self, cell: &str, outcome: Result<CellData, String>) -> CellReport {
+        CellReport {
+            cell: cell.to_string(),
+            outcome,
+            attempts: self.attempts_used,
+            deadline_kills: self.deadline_kills,
+            resumed: false,
+            wall_ms: self.wall_ms,
+            instructions: self.instructions,
+        }
+    }
+}
+
 /// Runs `tasks` to completion under `config`, journaling every final
 /// outcome. Cells with an `ok` record already in `journal` are restored
 /// and skipped (`resumed: true`); journaled failures are re-run.
 ///
 /// Telemetry flows through `ctx` (pass [`TelemetryCtx::off`] for an
-/// uninstrumented run). When `progress` is given, the scheduler streams
-/// `cell-started` / `cell-retry` / `cell-finished` events into it and a
-/// background [`Sampler`] adds `heartbeat` events on the sink's tick —
-/// plus, when `ctx` carries a hub, one manifest time-series row per tick.
+/// uninstrumented run). Every lifecycle transition goes to the sinks in
+/// `controls` as one [`CampaignEvent`]: `Started` first (tool, scale and
+/// trace id from the journal header), `Finished` last, and a
+/// `Heartbeat` per `controls.heartbeat` tick in between.
 ///
 /// Returns `Err` only for infrastructure faults (a journal write
 /// failing); cell failures are ordinary `CellReport` outcomes.
@@ -392,32 +382,17 @@ pub fn run_campaign(
     config: &RunnerConfig,
     journal: &mut Journal,
     ctx: &TelemetryCtx,
-    progress: Option<&ProgressSink>,
-) -> Result<CampaignOutcome, String> {
-    run_campaign_with(
-        tasks,
-        config,
-        journal,
-        ctx,
-        progress,
-        &RunControls::default(),
-    )
-}
-
-/// [`run_campaign`] with embedding hooks: a [`CancelToken`] observed at
-/// cell boundaries and an optional shared [`WorkerSlots`] budget so
-/// several concurrent campaigns (the daemon's multiplexing case) share
-/// one bounded pool of attempt slots. See [`RunControls`].
-pub fn run_campaign_with(
-    tasks: Vec<CellTask>,
-    config: &RunnerConfig,
-    journal: &mut Journal,
-    ctx: &TelemetryCtx,
-    progress: Option<&ProgressSink>,
     controls: &RunControls,
 ) -> Result<CampaignOutcome, String> {
     install_quiet_panic_hook();
     let total = tasks.len();
+    controls.emit(CampaignEvent::Started {
+        tool: journal.tool(),
+        scale: journal.scale(),
+        trace_id: journal.trace_id().unwrap_or_default(),
+        total: total as u64,
+        workers: config.workers as u64,
+    });
     let mut reports: Vec<Option<CellReport>> = Vec::new();
     let mut ready: VecDeque<usize> = VecDeque::new();
     let mut states: Vec<TaskState> = Vec::new();
@@ -434,76 +409,22 @@ pub fn run_campaign_with(
                 wall_ms: 0,
                 instructions: r.instructions,
             });
-        if restored.is_none() {
-            ready.push_back(i);
+        match &restored {
+            // A resumed cell is a final outcome too: announce it up front
+            // so the stream reconciles with the journal from the start.
+            Some(report) => controls.emit(CampaignEvent::CellResumed(report.tally())),
+            None => ready.push_back(i),
         }
         reports.push(restored);
-        states.push(TaskState {
-            attempts_used: 0,
-            deadline_kills: 0,
-            wall_ms: 0,
-            instructions: 0,
-            live_attempt: None,
-            deadline_at: None,
-            last_error: String::new(),
-            done: false,
-        });
+        states.push(TaskState::default());
     }
 
     let mut completed = reports.iter().filter(|r| r.is_some()).count();
     let mut running = 0usize;
     let (tx, rx) = mpsc::channel::<Msg>();
-
-    // Resumed cells are final outcomes too: announce them up front so a
-    // tail of the stream reconciles with the journal from the first line.
-    if let Some(sink) = progress {
-        for report in reports.iter().flatten() {
-            sink.emit(&finished_event(report, sink.t_ms()));
-        }
-    }
-    if let Some(rec) = &controls.flight {
-        for report in reports.iter().flatten() {
-            rec.record("cell-resumed", [("cell", Json::from(report.cell.as_str()))]);
-        }
-    }
-
-    // Shared with the heartbeat sampler thread; the single-threaded
-    // scheduler refreshes them after handling each message.
-    let done_count = Arc::new(AtomicU64::new(completed as u64));
-    let active_count = Arc::new(AtomicU64::new(0));
-    let mut sampler = progress.map(|sink| {
-        let writer = Arc::clone(&sink.writer);
-        let done = Arc::clone(&done_count);
-        let active = Arc::clone(&active_count);
-        let hub = ctx.hub().cloned();
-        let started = sink.started;
-        let total = total as u64;
-        Sampler::every(sink.tick, move |_| {
-            let done = done.load(Ordering::Relaxed);
-            let active = active.load(Ordering::Relaxed);
-            let t_ms = started.elapsed().as_millis() as u64;
-            let _ = writer.emit(&ProgressEvent::Heartbeat {
-                active_cells: active,
-                done,
-                total,
-                eta_ms: eta_ms(done, total, t_ms),
-                t_ms,
-            });
-            if let Some(hub) = &hub {
-                hub.push_sample(SampleRow {
-                    t_ms,
-                    done,
-                    active,
-                    counters: hub
-                        .registry()
-                        .snapshot()
-                        .counters()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                });
-            }
-        })
-    });
+    let started = Instant::now();
+    let tick = controls.heartbeat.map(|t| t.max(Duration::from_millis(1)));
+    let mut next_beat = tick.map(|t| started + t);
 
     let mut cancelled = false;
     loop {
@@ -535,58 +456,41 @@ pub fn run_campaign_with(
                 let attempt = state.attempts_used;
                 state.live_attempt = Some(attempt);
                 state.deadline_at = Some(Instant::now() + config.deadline);
-                if let Some(sink) = progress {
-                    sink.emit(&if attempt == 1 {
-                        ProgressEvent::CellStarted {
-                            cell: tasks[i].id.clone(),
-                            t_ms: sink.t_ms(),
-                        }
-                    } else {
-                        ProgressEvent::CellRetry {
-                            cell: tasks[i].id.clone(),
-                            attempt: u64::from(attempt),
-                            reason: first_line(&state.last_error),
-                            t_ms: sink.t_ms(),
-                        }
-                    });
-                }
-                if let Some(rec) = &controls.flight {
-                    rec.record(
-                        if attempt == 1 {
-                            "cell-started"
-                        } else {
-                            "cell-retry"
-                        },
-                        [
-                            ("cell", Json::from(tasks[i].id.as_str())),
-                            ("attempt", Json::from(u64::from(attempt))),
-                        ],
-                    );
-                }
-                if let Some(trace) = &controls.trace {
-                    if attempt > 1 {
-                        trace.instant("cell-retry", &tasks[i].id);
-                    }
-                    trace.begin(&tasks[i].id, attempt);
-                }
+                controls.emit(CampaignEvent::AttemptStarted {
+                    cell: &tasks[i].id,
+                    attempt,
+                    reason: &state.last_error,
+                });
                 spawn_attempt(&tasks[i], i, attempt, config, ctx, &tx);
                 running += 1;
             }
         }
-        done_count.store(completed as u64, Ordering::Relaxed);
-        active_count.store(running as u64, Ordering::Relaxed);
 
-        // Sleep until the next message, but no longer than the nearest
-        // in-flight deadline (and never past the poll tick, which bounds
-        // cancellation/slot-retry latency).
+        // The heartbeat ticks from the scheduler itself, so it shares
+        // the one ordered event path with every other transition. Missed
+        // ticks are skipped, not burst.
         let now = Instant::now();
-        let mut wait = SCHED_POLL;
-        for state in &states {
-            if state.live_attempt.is_some() {
-                if let Some(at) = state.deadline_at {
-                    wait = wait.min(at.saturating_duration_since(now));
+        if let (Some(tick), Some(at)) = (tick, next_beat.as_mut()) {
+            if now >= *at {
+                heartbeat(controls, ctx, started, running, completed, total);
+                *at += tick;
+                if *at < now {
+                    *at = now + tick;
                 }
             }
+        }
+
+        // Sleep until the next message, but no longer than the nearest
+        // in-flight deadline or heartbeat (and never past the poll tick,
+        // which bounds cancellation/slot-retry latency).
+        let mut wait = SCHED_POLL;
+        for at in states
+            .iter()
+            .filter(|s| s.live_attempt.is_some())
+            .filter_map(|s| s.deadline_at)
+            .chain(next_beat)
+        {
+            wait = wait.min(at.saturating_duration_since(now));
         }
         match rx.recv_timeout(wait) {
             Ok(Msg::Finished {
@@ -608,69 +512,25 @@ pub fn run_campaign_with(
                 if let Some(slots) = &controls.slots {
                     slots.release();
                 }
-                match result {
+                let cell = &tasks[task].id;
+                let report = match result {
                     Ok(data) => {
                         state.done = true;
-                        completed += 1;
-                        let report = CellReport {
-                            cell: tasks[task].id.clone(),
-                            outcome: Ok(data),
-                            attempts: state.attempts_used,
-                            deadline_kills: state.deadline_kills,
-                            resumed: false,
-                            wall_ms: state.wall_ms,
-                            instructions: state.instructions,
-                        };
-                        if let Some(trace) = &controls.trace {
-                            trace.end(&report.cell, "ok");
-                        }
-                        if let Some(rec) = &controls.flight {
-                            rec.record(
-                                "cell-finished",
-                                [
-                                    ("cell", Json::from(report.cell.as_str())),
-                                    ("attempts", Json::from(u64::from(report.attempts))),
-                                    ("wall_ms", Json::from(report.wall_ms)),
-                                ],
-                            );
-                        }
-                        journal_report(journal, &report)?;
-                        if let Some(sink) = progress {
-                            sink.emit(&finished_event(&report, sink.t_ms()));
-                        }
-                        reports[task] = Some(report);
+                        Some(state.report(cell, Ok(data)))
                     }
                     Err(reason) => {
+                        controls.emit(CampaignEvent::AttemptFailed {
+                            cell,
+                            attempt,
+                            reason: &reason,
+                        });
                         state.last_error = reason;
-                        if let Some(trace) = &controls.trace {
-                            trace.end(&tasks[task].id, "err");
-                        }
-                        if let Some(rec) = &controls.flight {
-                            rec.record(
-                                "attempt-failed",
-                                [
-                                    ("cell", Json::from(tasks[task].id.as_str())),
-                                    ("attempt", Json::from(u64::from(attempt))),
-                                    (
-                                        "reason",
-                                        Json::from(first_line(&states[task].last_error).as_str()),
-                                    ),
-                                ],
-                            );
-                        }
-                        retry_or_fail(
-                            task,
-                            &tasks,
-                            states.as_mut_slice(),
-                            config,
-                            journal,
-                            &tx,
-                            &mut reports,
-                            &mut completed,
-                            progress,
-                            controls,
-                        )?;
+                        retry_or_fail(task, cell, state, config, &tx)
                     }
+                };
+                if let Some(report) = report {
+                    completed += 1;
+                    resolve(journal, controls, report, &mut reports[task])?;
                 }
             }
             Ok(Msg::Ready { task }) => {
@@ -687,60 +547,32 @@ pub fn run_campaign_with(
         // Sweep expired deadlines. Detach each overrunning thread: mark
         // its attempt stale so whatever it eventually sends is dropped.
         let now = Instant::now();
-        let expired: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live_attempt.is_some() && s.deadline_at.is_some_and(|at| at <= now))
-            .map(|(i, _)| i)
-            .collect();
-        for task in expired {
-            let state = &mut states[task];
+        let deadline_ms = config.deadline.as_millis() as u64;
+        for (task, state) in states.iter_mut().enumerate() {
+            if state.live_attempt.is_none() || state.deadline_at.is_none_or(|at| at > now) {
+                continue;
+            }
             state.live_attempt = None;
             state.deadline_at = None;
             state.deadline_kills += 1;
-            state.wall_ms += config.deadline.as_millis() as u64;
-            state.last_error = format!("deadline exceeded ({} ms)", config.deadline.as_millis());
+            state.wall_ms += deadline_ms;
+            state.last_error = format!("deadline exceeded ({deadline_ms} ms)");
             running -= 1;
             if let Some(slots) = &controls.slots {
                 slots.release();
             }
-            if let Some(trace) = &controls.trace {
-                trace.end(&tasks[task].id, "killed");
-                trace.instant("deadline-kill", &tasks[task].id);
+            let cell = &tasks[task].id;
+            controls.emit(CampaignEvent::DeadlineKill { cell, deadline_ms });
+            if let Some(report) = retry_or_fail(task, cell, state, config, &tx) {
+                completed += 1;
+                resolve(journal, controls, report, &mut reports[task])?;
             }
-            if let Some(rec) = &controls.flight {
-                rec.record(
-                    "deadline-kill",
-                    [
-                        ("cell", Json::from(tasks[task].id.as_str())),
-                        (
-                            "deadline_ms",
-                            Json::from(config.deadline.as_millis() as u64),
-                        ),
-                    ],
-                );
-                rec.dump("deadline-sweep");
-            }
-            retry_or_fail(
-                task,
-                &tasks,
-                states.as_mut_slice(),
-                config,
-                journal,
-                &tx,
-                &mut reports,
-                &mut completed,
-                progress,
-                controls,
-            )?;
         }
     }
 
     // A cancelled campaign still reports every cell: the ones that never
     // resolved become `cancelled` errors. They are NOT journaled — a
-    // resumed run must re-execute exactly these. Cells whose start was
-    // announced in the stream get a closing `cell-finished` so the
-    // stream's started/finished sets stay reconciled.
+    // resumed run must re-execute exactly these.
     if cancelled {
         let reason = controls
             .cancel
@@ -748,106 +580,86 @@ pub fn run_campaign_with(
             .map(CancelToken::reason)
             .filter(|r| !r.is_empty())
             .unwrap_or_else(|| "no reason given".to_string());
-        if let Some(trace) = &controls.trace {
-            trace.close_open("cancelled");
-            trace.instant("campaign-cancelled", &reason);
-        }
-        if let Some(rec) = &controls.flight {
-            rec.record(
-                "campaign-cancelled",
-                [("reason", Json::from(reason.as_str()))],
-            );
-        }
+        let unresolved: Vec<CellTally> = (0..total)
+            .filter(|&i| reports[i].is_none() && states[i].attempts_used > 0)
+            .map(|i| CellTally {
+                cell: &tasks[i].id,
+                attempts: states[i].attempts_used,
+                wall_ms: states[i].wall_ms,
+                instructions: states[i].instructions,
+            })
+            .collect();
+        controls.emit(CampaignEvent::Cancelled {
+            reason: &reason,
+            unresolved: &unresolved,
+        });
         for (i, slot) in reports.iter_mut().enumerate() {
             if slot.is_none() {
-                let state = &states[i];
-                let report = CellReport {
-                    cell: tasks[i].id.clone(),
-                    outcome: Err(format!("cancelled: {reason}")),
-                    attempts: state.attempts_used,
-                    deadline_kills: state.deadline_kills,
-                    resumed: false,
-                    wall_ms: state.wall_ms,
-                    instructions: state.instructions,
-                };
-                if state.attempts_used > 0 {
-                    if let Some(sink) = progress {
-                        sink.emit(&finished_event(&report, sink.t_ms()));
-                    }
-                }
-                *slot = Some(report);
+                *slot = Some(states[i].report(&tasks[i].id, Err(format!("cancelled: {reason}"))));
             }
         }
     }
 
-    // Stop the sampler *before* the closing heartbeat so the final
-    // beat (`done == total` for a completed campaign) is the stream's
-    // last one.
-    if let Some(s) = sampler.as_mut() {
-        s.stop();
-    }
-    if let Some(sink) = progress {
-        let t_ms = sink.t_ms();
-        sink.emit(&ProgressEvent::Heartbeat {
-            active_cells: 0,
-            done: completed as u64,
-            total: total as u64,
-            eta_ms: eta_ms(completed as u64, total as u64, t_ms),
-            t_ms,
-        });
-    }
-
-    Ok(CampaignOutcome {
+    let outcome = CampaignOutcome {
         reports: reports.into_iter().map(Option::unwrap).collect(),
         cancelled,
-    })
-}
-
-/// The `cell-finished` event for a final report (fresh or resumed).
-fn finished_event(report: &CellReport, t_ms: u64) -> ProgressEvent {
-    let outcome = if report.resumed {
-        "resumed"
-    } else if report.outcome.is_ok() {
-        "ok"
-    } else {
-        "err"
     };
-    ProgressEvent::CellFinished {
-        cell: report.cell.clone(),
-        outcome: outcome.to_string(),
-        attempts: u64::from(report.attempts),
-        wall_ms: report.wall_ms,
-        instructions: report.instructions,
-        instr_per_sec: per_sec(
-            report.instructions,
-            report.wall_ms.saturating_mul(1_000_000),
-        ),
-        reason: report.outcome.as_ref().err().map(|r| first_line(r)),
-        t_ms,
-    }
+    // The closing beat reports the final count (`done == total` for a
+    // completed campaign) and is the stream's last heartbeat.
+    controls.emit(CampaignEvent::Heartbeat {
+        active: 0,
+        done: completed as u64,
+        total: total as u64,
+    });
+    let failed = outcome.failures().count() as u64;
+    controls.emit(CampaignEvent::Finished {
+        done: total as u64 - failed,
+        failed,
+        total: total as u64,
+    });
+    Ok(outcome)
 }
 
-/// The first line of a (possibly multi-line) failure reason.
-fn first_line(reason: &str) -> String {
-    reason.lines().next().unwrap_or(reason).to_string()
+/// One heartbeat tick: the lifecycle event plus, when `ctx` carries a
+/// hub, a manifest time-series row of the counters.
+fn heartbeat(
+    controls: &RunControls,
+    ctx: &TelemetryCtx,
+    started: Instant,
+    active: usize,
+    done: usize,
+    total: usize,
+) {
+    let (active, done) = (active as u64, done as u64);
+    controls.emit(CampaignEvent::Heartbeat {
+        active,
+        done,
+        total: total as u64,
+    });
+    if let Some(hub) = ctx.hub() {
+        hub.push_sample(SampleRow {
+            t_ms: started.elapsed().as_millis() as u64,
+            done,
+            active,
+            counters: hub
+                .registry()
+                .snapshot()
+                .counters()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        });
+    }
 }
 
 /// Handles a failed attempt: schedules a backoff retry if attempts
-/// remain, otherwise journals and reports the final failure.
-#[allow(clippy::too_many_arguments)]
+/// remain, otherwise marks the cell done and returns its final failure.
 fn retry_or_fail(
     task: usize,
-    tasks: &[CellTask],
-    states: &mut [TaskState],
+    cell: &str,
+    state: &mut TaskState,
     config: &RunnerConfig,
-    journal: &mut Journal,
     tx: &mpsc::Sender<Msg>,
-    reports: &mut [Option<CellReport>],
-    completed: &mut usize,
-    progress: Option<&ProgressSink>,
-    controls: &RunControls,
-) -> Result<(), String> {
-    let state = &mut states[task];
+) -> Option<CellReport> {
     if state.attempts_used < config.attempts {
         // Exponential backoff (backoff, 2*backoff, 4*backoff, ...) with
         // ±50% decorrelation jitter: exact powers of two make every cell
@@ -856,49 +668,16 @@ fn retry_or_fail(
         // stay bit-for-bit reproducible.
         let shift = (state.attempts_used - 1).min(10);
         let base = config.backoff * (1u32 << shift);
-        let delay = base.mul_f64(backoff_jitter(&tasks[task].id, state.attempts_used));
+        let delay = base.mul_f64(backoff_jitter(cell, state.attempts_used));
         let tx = tx.clone();
         std::thread::spawn(move || {
             std::thread::sleep(delay);
             let _ = tx.send(Msg::Ready { task });
         });
-        return Ok(());
+        return None;
     }
     state.done = true;
-    *completed += 1;
-    let report = CellReport {
-        cell: tasks[task].id.clone(),
-        outcome: Err(state.last_error.clone()),
-        attempts: state.attempts_used,
-        deadline_kills: state.deadline_kills,
-        resumed: false,
-        wall_ms: state.wall_ms,
-        instructions: state.instructions,
-    };
-    if let Some(rec) = &controls.flight {
-        rec.record(
-            "cell-failed",
-            [
-                ("cell", Json::from(report.cell.as_str())),
-                ("attempts", Json::from(u64::from(report.attempts))),
-                (
-                    "reason",
-                    Json::from(first_line(report.outcome.as_ref().unwrap_err()).as_str()),
-                ),
-            ],
-        );
-    }
-    journal_report(journal, &report)?;
-    if let Some(sink) = progress {
-        sink.emit(&finished_event(&report, sink.t_ms()));
-    }
-    // The journal line is written before the dump, so the dump's trailing
-    // `cell-failed` event reconciles with a journal record that exists.
-    if let Some(rec) = &controls.flight {
-        rec.dump("cell-failed");
-    }
-    reports[task] = Some(report);
-    Ok(())
+    Some(state.report(cell, Err(state.last_error.clone())))
 }
 
 /// Deterministic backoff jitter factor in `[0.5, 1.5)` for a retry of
@@ -908,9 +687,16 @@ fn backoff_jitter(cell: &str, attempt: u32) -> f64 {
     0.5 + super::faults::split_mix_unit(0x6a17_7e2d_b0ff_0ff5, cell, attempt)
 }
 
-/// Journals a final cell outcome, translating I/O failure into the
-/// campaign-level error.
-fn journal_report(journal: &mut Journal, report: &CellReport) -> Result<(), String> {
+/// Resolves a cell: journals its final outcome, then reports it to the
+/// sinks. The journal comes first, and its failure is the campaign's:
+/// whatever a sink renders (a flight dump's tail included) is already
+/// durable.
+fn resolve(
+    journal: &mut Journal,
+    controls: &RunControls,
+    report: CellReport,
+    slot: &mut Option<CellReport>,
+) -> Result<(), String> {
     let record = JournalRecord {
         cell: report.cell.clone(),
         ok: report.outcome.is_ok(),
@@ -923,7 +709,13 @@ fn journal_report(journal: &mut Journal, report: &CellReport) -> Result<(), Stri
     };
     journal
         .append(record)
-        .map_err(|e| format!("cannot write journal {}: {e}", journal.path().display()))
+        .map_err(|e| format!("cannot write journal {}: {e}", journal.path().display()))?;
+    controls.emit(match &report.outcome {
+        Ok(_) => CampaignEvent::CellFinished(report.tally()),
+        Err(reason) => CampaignEvent::CellFailed(report.tally(), reason),
+    });
+    *slot = Some(report);
+    Ok(())
 }
 
 /// Spawns one attempt. The attempt thread is named
@@ -1011,6 +803,7 @@ fn install_quiet_panic_hook() {
 mod tests {
     use super::*;
     use crate::runner::Scale;
+    use sim_telemetry::{FlightRecorder, Json, ProgressEvent, ProgressWriter, TraceCollector};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -1051,7 +844,7 @@ mod tests {
             &fast("panic:t/boom"),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
 
@@ -1079,7 +872,7 @@ mod tests {
             &fast("flaky:t/x:2"),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
         let report = outcome.report("t/x").unwrap();
@@ -1104,7 +897,7 @@ mod tests {
             &config,
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
         let report = outcome.report("t/slow").unwrap();
@@ -1127,7 +920,7 @@ mod tests {
             &fast("panic:t/b"),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
         assert!(!first.all_ok());
@@ -1147,7 +940,7 @@ mod tests {
             &fast(""),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
 
@@ -1188,8 +981,14 @@ mod tests {
                 })
             })
             .collect();
-        let outcome =
-            run_campaign(tasks, &config, &mut journal, &TelemetryCtx::off(), None).unwrap();
+        let outcome = run_campaign(
+            tasks,
+            &config,
+            &mut journal,
+            &TelemetryCtx::off(),
+            &RunControls::default(),
+        )
+        .unwrap();
         assert!(outcome.all_ok());
         assert_eq!(outcome.reports.len(), 8);
         // Reports stay in task order regardless of completion order.
@@ -1207,8 +1006,11 @@ mod tests {
         let dir = scratch("progress");
         let _ = std::fs::remove_dir_all(&dir);
         let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 3).unwrap();
-        let writer = ProgressWriter::create(&dir, "r").unwrap();
-        let sink = ProgressSink::new(writer, Duration::from_millis(5));
+        let controls = RunControls {
+            sinks: vec![Arc::new(ProgressWriter::create(&dir, "r").unwrap())],
+            heartbeat: Some(Duration::from_millis(5)),
+            ..RunControls::default()
+        };
         let tasks = vec![
             value_task("t/a", 1.0),
             value_task("t/boom", 2.0),
@@ -1223,7 +1025,7 @@ mod tests {
             &config,
             &mut journal,
             &TelemetryCtx::off(),
-            Some(&sink),
+            &controls,
         )
         .unwrap();
         assert!(outcome.all_ok());
@@ -1235,7 +1037,11 @@ mod tests {
         let mut finished = BTreeSet::new();
         let mut retried = BTreeSet::new();
         let mut beats: Vec<(u64, u64)> = Vec::new();
-        for e in &stream.events {
+        // The pool brackets its stream with the campaign bookends.
+        let n = stream.events.len();
+        assert_eq!(stream.events[0].name(), "campaign-started");
+        assert_eq!(stream.events[n - 1].name(), "campaign-finished");
+        for e in &stream.events[1..n - 1] {
             match e {
                 ProgressEvent::CellStarted { cell, .. } => {
                     assert!(started.insert(cell.clone()), "{cell} started twice");
@@ -1265,7 +1071,7 @@ mod tests {
             "injected flake must surface as a retry"
         );
         assert_eq!(journal.records().count(), 3);
-        // Heartbeats come from one thread (sampler, then the scheduler's
+        // Heartbeats come from the scheduler thread (ticks, then the
         // closing beat): time and completion are monotone, and the final
         // beat reports a finished campaign.
         assert!(!beats.is_empty(), "closing heartbeat is unconditional");
@@ -1286,21 +1092,24 @@ mod tests {
             &fast(""),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            &RunControls::default(),
         )
         .unwrap();
         assert!(first.all_ok());
         drop(journal);
 
         let mut journal = Journal::resume(&dir, "r", "t", Scale::Quick).unwrap();
-        let writer = ProgressWriter::create(&dir, "r2").unwrap();
-        let sink = ProgressSink::new(writer, Duration::from_millis(1000));
+        let controls = RunControls {
+            sinks: vec![Arc::new(ProgressWriter::create(&dir, "r2").unwrap())],
+            heartbeat: Some(Duration::from_millis(1000)),
+            ..RunControls::default()
+        };
         let second = run_campaign(
             vec![value_task("t/a", 5.0)],
             &fast(""),
             &mut journal,
             &TelemetryCtx::off(),
-            Some(&sink),
+            &controls,
         )
         .unwrap();
         assert!(second.report("t/a").unwrap().resumed);
@@ -1356,12 +1165,11 @@ mod tests {
             cancel: Some(token.clone()),
             ..RunControls::default()
         };
-        let outcome = run_campaign_with(
+        let outcome = run_campaign(
             tasks,
             &fast(""),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
             &controls,
         )
         .unwrap();
@@ -1413,12 +1221,11 @@ mod tests {
             slots: Some(slots),
             ..RunControls::default()
         };
-        let outcome = run_campaign_with(
+        let outcome = run_campaign(
             tasks,
             &config,
             &mut journal,
             &TelemetryCtx::off(),
-            None,
             &controls,
         )
         .unwrap();
@@ -1435,16 +1242,14 @@ mod tests {
         let flight = FlightRecorder::new(&dir, "r", "tr-00000000000000f1", 64);
         let trace = TraceCollector::new("r", "tr-00000000000000f1");
         let controls = RunControls {
-            flight: Some(flight.clone()),
-            trace: Some(trace.clone()),
+            sinks: vec![Arc::new(flight.clone()), Arc::new(trace.clone())],
             ..RunControls::default()
         };
-        let outcome = run_campaign_with(
+        let outcome = run_campaign(
             vec![value_task("t/ok", 1.0), value_task("t/boom", 2.0)],
             &fast("panic:t/boom"),
             &mut journal,
             &TelemetryCtx::off(),
-            None,
             &controls,
         )
         .unwrap();
@@ -1466,6 +1271,176 @@ mod tests {
         let summary = sim_telemetry::traceviz::validate(&trace.to_json()).unwrap();
         assert_eq!(summary.complete, 4);
         assert_eq!(summary.instants, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records every cell-level event as `(kind, cell, attempts)`. It
+    /// releases `t/slow`'s first attempt only once the deadline sweep has
+    /// killed it, and cancels the campaign the moment `t/flaky` and
+    /// `t/slow` have both finished while `t/boom` waits out a retry
+    /// backoff.
+    struct Recording {
+        events: Mutex<Vec<(&'static str, String, u32)>>,
+        release_slow: Mutex<mpsc::Sender<()>>,
+        cancel: CancelToken,
+    }
+
+    impl CampaignSink for Recording {
+        fn on_event(&self, event: &CampaignEvent<'_>) {
+            let mut events = self.events.lock().unwrap();
+            let (kind, cell, attempts) = match *event {
+                CampaignEvent::AttemptStarted { cell, attempt, .. } => ("started", cell, attempt),
+                CampaignEvent::AttemptFailed { cell, attempt, .. } => ("failed", cell, attempt),
+                CampaignEvent::DeadlineKill { cell, .. } => {
+                    let _ = self.release_slow.lock().unwrap().send(());
+                    ("killed", cell, 0)
+                }
+                CampaignEvent::CellFinished(t) => ("finished", t.cell, t.attempts),
+                CampaignEvent::CellFailed(t, _) => ("exhausted", t.cell, t.attempts),
+                CampaignEvent::Cancelled { unresolved, .. } => {
+                    for t in unresolved {
+                        events.push(("unresolved", t.cell.to_string(), t.attempts));
+                    }
+                    return;
+                }
+                _ => return,
+            };
+            events.push((kind, cell.to_string(), attempts));
+            let finished = events.iter().filter(|e| e.0 == "finished").count();
+            let boom_waiting = events
+                .iter()
+                .rev()
+                .find(|e| e.1 == "t/boom")
+                .is_some_and(|e| e.0 == "failed");
+            if finished == 2 && boom_waiting {
+                self.cancel.cancel("test cancel");
+            }
+        }
+    }
+
+    #[test]
+    fn every_renderer_reconciles_with_the_journal_through_kill_retry_and_cancel() {
+        let dir = scratch("reconcile");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 3).unwrap();
+        let token = CancelToken::new();
+        let (release_slow, slow_released) = mpsc::channel();
+        let recording = Arc::new(Recording {
+            events: Mutex::new(Vec::new()),
+            release_slow: Mutex::new(release_slow),
+            cancel: token.clone(),
+        });
+        let progress = Arc::new(ProgressWriter::create(&dir, "r").unwrap());
+        let flight = FlightRecorder::new(&dir, "r", "tr-00000000000000f2", 256);
+        let trace = TraceCollector::new("r", "tr-00000000000000f2");
+        // `t/slow`'s first attempt blocks until the sweep has killed it,
+        // then returns a result the pool must drop as stale; its retry
+        // succeeds.
+        let slow_released = Mutex::new(slow_released);
+        let calls = AtomicU32::new(0);
+        let slow = CellTask::new("t/slow", move || {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = slow_released.lock().unwrap().recv();
+            }
+            CellData::new()
+        });
+        // `t/boom` fails every attempt, and its doubling backoff outlasts
+        // the other cells long before its attempts run out.
+        let config = RunnerConfig {
+            workers: 3,
+            attempts: 10,
+            deadline: Duration::from_millis(50),
+            backoff: Duration::from_millis(20),
+            ..fast("flaky:t/flaky:1,panic:t/boom")
+        };
+        let controls = RunControls {
+            cancel: Some(token),
+            sinks: vec![
+                Arc::clone(&recording) as Arc<dyn CampaignSink>,
+                Arc::clone(&progress) as Arc<dyn CampaignSink>,
+                Arc::new(flight.clone()),
+                Arc::new(trace.clone()),
+            ],
+            ..RunControls::default()
+        };
+        let outcome = run_campaign(
+            vec![value_task("t/flaky", 1.0), slow, value_task("t/boom", 3.0)],
+            &config,
+            &mut journal,
+            &TelemetryCtx::off(),
+            &controls,
+        )
+        .unwrap();
+
+        // The campaign took every path: a retried flake, a deadline kill,
+        // and a cancel with `t/boom` mid-backoff (unresolved, unjournaled).
+        assert!(outcome.cancelled);
+        let events = recording.events.lock().unwrap().clone();
+        let saw = |kind: &str, cell: &str| events.iter().any(|e| e.0 == kind && e.1 == cell);
+        assert!(
+            saw("failed", "t/flaky") && saw("finished", "t/flaky"),
+            "{events:?}"
+        );
+        assert!(
+            saw("killed", "t/slow") && saw("finished", "t/slow"),
+            "{events:?}"
+        );
+        assert!(saw("unresolved", "t/boom"), "{events:?}");
+        assert_eq!(journal.record("t/slow").unwrap().deadline_kills, 1);
+        assert!(journal.record("t/boom").is_none());
+
+        let stream = sim_telemetry::read_events(progress.path()).unwrap();
+        let doc = trace.to_json();
+        let slices: Vec<&Json> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .collect();
+        let ring = flight.events();
+        for cell in ["t/flaky", "t/slow", "t/boom"] {
+            let attempts = journal
+                .record(cell)
+                .map_or_else(|| outcome.report(cell).unwrap().attempts, |r| r.attempts);
+            assert!(attempts >= 1, "{cell}");
+            let recorded = events
+                .iter()
+                .filter(|e| e.0 == "started" && e.1 == cell)
+                .count();
+            let streamed = stream
+                .events
+                .iter()
+                .filter(|e| match e {
+                    ProgressEvent::CellStarted { cell: c, .. }
+                    | ProgressEvent::CellRetry { cell: c, .. } => c == cell,
+                    _ => false,
+                })
+                .count();
+            let traced = slices
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(cell))
+                .count();
+            let flown = ring
+                .iter()
+                .filter(|e| e.kind == "cell-started" || e.kind == "cell-retry")
+                .filter(|e| {
+                    e.fields
+                        .iter()
+                        .any(|(k, v)| k == "cell" && v.as_str() == Some(cell))
+                })
+                .count();
+            let n = attempts as usize;
+            assert_eq!((recorded, streamed, traced, flown), (n, n, n, n), "{cell}");
+            // Exactly one final outcome per cell in the stream, the
+            // cancelled one included.
+            let finals: Vec<&ProgressEvent> = stream
+                .events
+                .iter()
+                .filter(|e| matches!(e, ProgressEvent::CellFinished { cell: c, .. } if c == cell))
+                .collect();
+            assert_eq!(finals.len(), 1, "{cell}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -732,7 +732,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
             .add(tasks.len() as u64);
     }
 
-    let driven = drive_campaign(tool, scale, &session, tasks);
+    let driven = drive_campaign(&session, tasks);
 
     // Recombine each benchmark's shard cells into a sampled Table 1. A
     // benchmark with any failed shard renders as ERR: a partial

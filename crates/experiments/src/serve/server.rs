@@ -26,18 +26,15 @@
 use super::http::{read_request, HttpError, Request, Response};
 use super::signal;
 use super::state::{unix_ms, Registry, ReqState, RequestEntry, RequestSpec, Shed};
-use crate::jobs::pool::{CellTask, ProgressSink};
-use crate::jobs::{
-    cell_id, cli, faults, journal::Journal, registry, run_campaign_with, RunControls, RunnerConfig,
-    WorkerSlots,
-};
+use crate::jobs::cli::Campaign;
+use crate::jobs::pool::CellTask;
+use crate::jobs::{cell_id, faults, registry, RunnerConfig, WorkerSlots};
 use crate::runner::Scale;
 use crate::telemetry;
 use sim_telemetry::json::{obj, Json};
 use sim_telemetry::{
-    flight, progress_path, read_events, FlightRecorder, MetricsRegistry, ProfMode, ProgressEvent,
-    ProgressWriter, TelemetryConfig, TelemetryMode, TraceCollector, TraceExportMode, TraceId,
-    DEFAULT_FLIGHT_CAPACITY,
+    flight, progress_path, read_events, MetricsRegistry, ProfMode, TelemetryConfig, TelemetryMode,
+    TraceExportMode, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -298,136 +295,47 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
     server.registry.set_cells(&entry.id, total, 0, 0);
 
     // Resumed requests append to the prior request's journal (which
-    // knows the finished cells); fresh ones journal in their own
-    // namespace with the resume command baked into the header.
-    let (journal_dir, journal_run) = match &entry.spec.resume {
+    // knows the finished cells) and keep its trace id; fresh ones journal
+    // in their own namespace.
+    let journal_dir = match &entry.spec.resume {
         Some(prior) => match server.registry.get(prior) {
-            Some(p) => (p.namespace.join("journal"), prior.clone()),
+            Some(p) => p.namespace.join("journal"),
             None => return fail(format!("resume target {prior:?} vanished")),
         },
-        None => (ns.join("journal"), entry.id.clone()),
+        None => ns.join("journal"),
     };
-    // One trace id correlates everything the request leaves behind:
-    // resumed requests reuse the prior journal's id so the logical
-    // campaign stays one trace across resumes; fresh requests mint.
-    let minted = TraceId::mint().to_string();
-    let mut journal = if entry.spec.resume.is_some() {
-        match Journal::resume(&journal_dir, &journal_run, def.name, scale) {
-            Ok(j) => j,
-            Err(e) => return fail(e),
-        }
-    } else {
-        let resume = cli::resume_command(def.name, &journal_run, scale, &journal_dir);
-        match Journal::create_with_meta(
-            &journal_dir,
-            &journal_run,
-            def.name,
-            scale,
-            total,
-            Some(&resume),
-            Some(&minted),
-        ) {
-            Ok(j) => j,
-            Err(e) => return fail(format!("cannot create journal: {e}")),
-        }
+    let started = Instant::now();
+    let resume = entry.spec.resume.as_deref();
+    let campaign = match Campaign::open(&session, &entry.id, &journal_dir, resume, total) {
+        Ok(campaign) => campaign,
+        Err(e) => return fail(e),
     };
-    let trace_id = journal.trace_id().map(str::to_string).unwrap_or(minted);
-    server.registry.set_trace_id(&entry.id, &trace_id);
-    if let Some(hub) = ctx.hub() {
-        hub.set_trace_id(&trace_id);
-    }
-    if let Some(cmd) = journal.resume_command() {
+    server.registry.set_trace_id(&entry.id, &campaign.trace_id);
+    if let Some(cmd) = campaign.journal.resume_command() {
         server.registry.set_resume_command(&entry.id, cmd);
     }
-
-    // The flight recorder rides armed for the whole campaign so a
-    // daemon-level panic or SIGTERM drain dumps this request's last
-    // events even though the request thread never reaches a dump call.
-    let recorder = FlightRecorder::new(
-        &ns.join("flightrec"),
-        &entry.id,
-        &trace_id,
-        DEFAULT_FLIGHT_CAPACITY,
-    );
-    let _armed = flight::arm(&recorder);
-    recorder.record(
-        "request-started",
-        [
-            ("experiment", Json::from(def.name)),
-            ("client", Json::from(entry.spec.client.as_str())),
-            ("cells", Json::from(total as u64)),
-        ],
-    );
-    let trace = server
-        .config
-        .trace_export
-        .enabled()
-        .then(|| TraceCollector::new(&entry.id, &trace_id));
-
-    let writer = match ProgressWriter::create(&ns.join("progress"), &entry.id) {
-        Ok(w) => w,
-        Err(e) => return fail(format!("cannot create progress stream: {e}")),
-    };
-    let sink = ProgressSink::new(writer, Duration::from_millis(500));
-    sink.emit(&ProgressEvent::CampaignStarted {
-        run: entry.id.clone(),
-        tool: def.name.to_string(),
-        scale: scale.name().to_string(),
-        total: total as u64,
-        workers: server.config.runner.workers as u64,
-        trace_id: trace_id.clone(),
-        unix_ms: unix_ms(),
-    });
-
-    let controls = RunControls {
-        cancel: Some(entry.cancel.clone()),
-        slots: Some(server.slots.clone()),
-        flight: Some(recorder.clone()),
-        trace: trace.clone(),
-    };
-    let outcome = match run_campaign_with(
+    let outcome = match campaign.run(
         tasks,
         &server.config.runner,
-        &mut journal,
-        &ctx,
-        Some(&sink),
-        &controls,
+        Some(entry.cancel.clone()),
+        Some(server.slots.clone()),
     ) {
         Ok(outcome) => outcome,
         Err(e) => return fail(e),
     };
-    cli::record_cells(&ctx, &outcome);
-    if let Some(trace) = &trace {
-        trace.close_open("killed");
-        if let Some(hub) = ctx.hub() {
-            trace.add_spans(hub.spans());
-        }
-        match trace.write(&ns.join("traceviz")) {
-            Ok(path) => println!("repro-serve: {} trace export: {}", entry.id, path.display()),
-            Err(e) => eprintln!("repro-serve: {} cannot write trace export: {e}", entry.id),
-        }
-    }
 
     let failed = outcome.failures().count();
     let done = outcome.reports.len() - failed;
-    let t_ms = sink.t_ms();
     server
         .metrics
         .histogram("serve.request_wall_ms")
-        .record(t_ms);
+        .record(started.elapsed().as_millis() as u64);
     for report in &outcome.reports {
         server
             .metrics
             .histogram("serve.cell_wall_ms")
             .record(report.wall_ms);
     }
-    sink.emit(&ProgressEvent::CampaignFinished {
-        done: done as u64,
-        failed: failed as u64,
-        total: outcome.reports.len() as u64,
-        wall_ms: t_ms,
-        t_ms,
-    });
     server.registry.set_cells(&entry.id, total, done, failed);
 
     // Drop the session *before* the terminal state so a client that

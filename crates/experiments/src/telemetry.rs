@@ -91,7 +91,7 @@ struct State {
     events: Vec<(String, Event)>,
     /// Cell outcomes reported by the jobs runner.
     cells: Vec<CellRecord>,
-    /// Fixed-tick campaign snapshots pushed by the progress sampler.
+    /// Fixed-tick campaign snapshots pushed by the campaign heartbeat.
     timeseries: Vec<SampleRow>,
     /// Campaign correlation id, stamped into the manifest when set.
     trace_id: String,
@@ -203,7 +203,7 @@ impl Hub {
             .push(record);
     }
 
-    /// Appends one sampler tick to the manifest's time series.
+    /// Appends one heartbeat tick to the manifest's time series.
     pub fn push_sample(&self, row: SampleRow) {
         self.state
             .lock()
@@ -296,8 +296,8 @@ impl TelemetryCtx {
 /// `main`. Writes the manifest (and event stream) when dropped.
 pub struct Session {
     hub: Option<Arc<Hub>>,
-    tool: String,
-    scale: Scale,
+    pub(crate) tool: String,
+    pub(crate) scale: Scale,
     config: TelemetryConfig,
     started: Instant,
 }

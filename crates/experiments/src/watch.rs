@@ -288,7 +288,7 @@ impl CampaignStatus {
         if !status.finished {
             status.failed = status.count(CellState::Err);
             // No heartbeat yet (stream caught between events): derive
-            // the same linear estimate the sampler would emit.
+            // the same linear estimate a heartbeat would carry.
             if status.eta_ms.is_none() {
                 status.eta_ms = eta_ms(status.done(), status.total, status.last_t_ms);
             }

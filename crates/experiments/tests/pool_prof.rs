@@ -6,7 +6,7 @@
 //! journal.
 
 use experiments::jobs::pool::CellTask;
-use experiments::jobs::{run_campaign, CellData, Journal, RunnerConfig};
+use experiments::jobs::{run_campaign, CellData, Journal, RunControls, RunnerConfig};
 use experiments::runner::{self, Scale};
 use experiments::telemetry::{self, ProfMode, TelemetryMode};
 use sim_workloads::Benchmark;
@@ -73,7 +73,8 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
         tasks.len(),
     )
     .unwrap();
-    let outcome = run_campaign(tasks, &config, &mut journal, &ctx, None).unwrap();
+    let outcome =
+        run_campaign(tasks, &config, &mut journal, &ctx, &RunControls::default()).unwrap();
 
     // Every cell succeeded and carries its replayed instruction count.
     assert_eq!(outcome.reports.len(), benches.len());

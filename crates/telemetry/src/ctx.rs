@@ -32,7 +32,7 @@ use std::time::Duration;
 pub const DEFAULT_TELEMETRY_DIR: &str = "results/telemetry";
 /// Default output directory for campaign progress streams.
 pub const DEFAULT_PROGRESS_DIR: &str = "results/progress";
-/// Default heartbeat/sampler period in milliseconds.
+/// Default heartbeat period in milliseconds.
 pub const DEFAULT_PROGRESS_TICK_MS: u64 = 1000;
 /// Default output directory for Chrome trace exports.
 pub const DEFAULT_TRACEVIZ_DIR: &str = "results/traceviz";
@@ -86,7 +86,7 @@ pub struct TelemetryConfig {
     pub progress: bool,
     /// Where progress streams go (`REPRO_PROGRESS_DIR`).
     pub progress_dir: PathBuf,
-    /// Heartbeat/sampler period (`REPRO_PROGRESS_TICK_MS`).
+    /// Heartbeat period (`REPRO_PROGRESS_TICK_MS`).
     pub progress_tick: Duration,
     /// Trace-export format (`REPRO_TRACE_EXPORT`).
     pub trace_export: TraceExportMode,

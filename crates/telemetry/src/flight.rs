@@ -2,8 +2,9 @@
 //! structured events, dumped to disk only when something goes wrong.
 //!
 //! Every campaign (and every `repro-serve` request) keeps one
-//! [`FlightRecorder`] recording admissions, cell transitions, retries,
-//! store activity, and HTTP errors into a bounded ring. In steady state
+//! [`FlightRecorder`] rendering its lifecycle stream ([`CampaignSink`]):
+//! cell starts, retries, attempt failures, deadline kills, and outcomes
+//! go into a bounded ring. In steady state
 //! the recorder costs one short mutex acquisition per event and writes
 //! nothing; on a triggering condition — panic, cell failure after
 //! retries, a deadline sweep, or a SIGTERM drain — [`FlightRecorder::dump`]
@@ -23,15 +24,18 @@
 
 use crate::fsio::atomic_write_str;
 use crate::json::{obj, Json};
+use crate::lifecycle::{first_line, CampaignEvent, CampaignSink};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity (`REPRO_FLIGHT_CAP`): enough for the full cell
-/// lifecycle of the largest campaign (77 cells × started/finished plus
-/// retries) without measurable memory cost.
+/// Default ring capacity (`REPRO_FLIGHT_CAP`). A clean `repro_all` run
+/// (93 cells) records 1 + 93 × 2 = 187 events: `campaign-started`, then
+/// `cell-started` and `cell-finished` per cell. Each retry adds two more
+/// (`attempt-failed`, `cell-retry`), so from the 35th retry on the ring
+/// overwrites its oldest events, `campaign-started` first.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// One structured event in the ring.
@@ -97,16 +101,6 @@ impl FlightRecorder {
             trace_id: trace_id.to_string(),
             path: flight_path(dir, run_id),
         }
-    }
-
-    /// The dump path this recorder writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The trace id stamped into every dump header.
-    pub fn trace_id(&self) -> &str {
-        &self.trace_id
     }
 
     /// Records one event, overwriting the oldest when the ring is full.
@@ -183,6 +177,87 @@ impl FlightRecorder {
             );
         }
         self.path.clone()
+    }
+}
+
+/// The flight ring keeps every cell transition and dumps on the two
+/// campaign-level triggers: a cell failing after retries and a deadline
+/// sweep. The journal is written before either event reaches the ring,
+/// so a dump's trailing event always reconciles with journaled state.
+impl CampaignSink for FlightRecorder {
+    fn on_event(&self, event: &CampaignEvent<'_>) {
+        match *event {
+            CampaignEvent::Started {
+                tool, scale, total, ..
+            } => self.record(
+                "campaign-started",
+                [
+                    ("run", Json::from(self.run_id.as_str())),
+                    ("tool", Json::from(tool)),
+                    ("scale", Json::from(scale)),
+                    ("cells", Json::from(total)),
+                ],
+            ),
+            CampaignEvent::CellResumed(tally) => {
+                self.record("cell-resumed", [("cell", Json::from(tally.cell))])
+            }
+            CampaignEvent::AttemptStarted { cell, attempt, .. } => self.record(
+                if attempt == 1 {
+                    "cell-started"
+                } else {
+                    "cell-retry"
+                },
+                [
+                    ("cell", Json::from(cell)),
+                    ("attempt", Json::from(u64::from(attempt))),
+                ],
+            ),
+            CampaignEvent::AttemptFailed {
+                cell,
+                attempt,
+                reason,
+            } => self.record(
+                "attempt-failed",
+                [
+                    ("cell", Json::from(cell)),
+                    ("attempt", Json::from(u64::from(attempt))),
+                    ("reason", Json::from(first_line(reason))),
+                ],
+            ),
+            CampaignEvent::DeadlineKill { cell, deadline_ms } => {
+                self.record(
+                    "deadline-kill",
+                    [
+                        ("cell", Json::from(cell)),
+                        ("deadline_ms", Json::from(deadline_ms)),
+                    ],
+                );
+                self.dump("deadline-sweep");
+            }
+            CampaignEvent::CellFinished(tally) => self.record(
+                "cell-finished",
+                [
+                    ("cell", Json::from(tally.cell)),
+                    ("attempts", Json::from(u64::from(tally.attempts))),
+                    ("wall_ms", Json::from(tally.wall_ms)),
+                ],
+            ),
+            CampaignEvent::CellFailed(tally, reason) => {
+                self.record(
+                    "cell-failed",
+                    [
+                        ("cell", Json::from(tally.cell)),
+                        ("attempts", Json::from(u64::from(tally.attempts))),
+                        ("reason", Json::from(first_line(reason))),
+                    ],
+                );
+                self.dump("cell-failed");
+            }
+            CampaignEvent::Cancelled { reason, .. } => {
+                self.record("campaign-cancelled", [("reason", Json::from(reason))])
+            }
+            CampaignEvent::Heartbeat { .. } | CampaignEvent::Finished { .. } => {}
+        }
     }
 }
 

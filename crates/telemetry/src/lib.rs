@@ -31,6 +31,9 @@
 //!   deadline sweep, or drain ([`flight`]).
 //! - [`TraceCollector`] — Chrome trace-event export of cell lifecycles
 //!   and span phases, loadable in Perfetto ([`traceviz`]).
+//! - [`CampaignEvent`] / [`CampaignSink`] — the one campaign lifecycle
+//!   stream; the progress writer, flight recorder, and trace collector
+//!   are its renderers ([`lifecycle`]).
 //!
 //! All JSON is hand-rolled ([`json`]) — escaping, a value tree, and a
 //! strict parser — because the environment has no serde.
@@ -45,11 +48,11 @@ pub mod flight;
 pub mod fsio;
 pub mod id;
 pub mod json;
+pub mod lifecycle;
 pub mod manifest;
 pub mod metrics;
 pub mod prof;
 pub mod progress;
-pub mod sampler;
 pub mod span;
 pub mod traceviz;
 
@@ -62,6 +65,7 @@ pub use flight::{flight_path, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACI
 pub use fsio::{atomic_write, atomic_write_str};
 pub use id::{SpanId, TraceId};
 pub use json::Json;
+pub use lifecycle::{CampaignEvent, CampaignSink, CellTally};
 pub use manifest::{CellRecord, RunManifest, RunRecord, SampleRow};
 pub use metrics::{
     bucket_bounds, bucket_index, check_prometheus_text, prometheus_name, Counter, Gauge, Histogram,
@@ -72,7 +76,6 @@ pub use progress::{
     eta_ms, parse_events, progress_path, read_events, ProgressEvent, ProgressStreamContents,
     ProgressWriter,
 };
-pub use sampler::Sampler;
 pub use span::{SpanGuard, SpanRegistry, SpanStat};
 pub use traceviz::{trace_path, TraceCollector, TraceSummary};
 

@@ -133,7 +133,7 @@ impl CellRecord {
 }
 
 /// One fixed-tick snapshot of a running campaign, as captured by the
-/// progress sampler into the manifest's `timeseries` section.
+/// campaign heartbeat into the manifest's `timeseries` section.
 ///
 /// Rows give the manifest the same "phase behavior over time" lens the
 /// SimPoint line of work applies to programs: how throughput and cell
@@ -147,7 +147,7 @@ pub struct SampleRow {
     /// Cells with an attempt in flight at this tick.
     pub active: u64,
     /// Cumulative values of key counters at this tick (subset of the
-    /// metrics registry, chosen by the sampler).
+    /// metrics registry).
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -199,7 +199,7 @@ pub struct RunManifest {
     pub wall_ns: u64,
     /// Hot-path phase totals (`REPRO_PROF=full` only; empty otherwise).
     pub hot_phases: Vec<PhaseStat>,
-    /// Fixed-tick campaign snapshots from the progress sampler
+    /// Fixed-tick campaign snapshots from the campaign heartbeat
     /// (`REPRO_PROGRESS=on` campaigns only; empty otherwise).
     pub timeseries: Vec<SampleRow>,
 }
@@ -390,7 +390,7 @@ impl RunManifest {
         if let Some(sampling) = Self::sampling_json(metrics) {
             fields.insert("sampling".to_string(), sampling);
         }
-        // Only campaigns with the sampler running carry a time series;
+        // Only campaigns with a heartbeat carry a time series;
         // omitting the empty section keeps older manifests byte-stable.
         if !self.timeseries.is_empty() {
             fields.insert(

@@ -21,12 +21,22 @@
 //! `t_ms` is milliseconds since `campaign-started` (monotonic clock), so
 //! two events from the same stream can always be ordered and diffed
 //! without trusting the wall clock.
+//!
+//! A campaign writes the stream by rendering its lifecycle events
+//! ([`CampaignEvent`]) through the writer's [`CampaignSink`] impl: every
+//! final cell outcome (resumed, ok, failed, cancelled) becomes one
+//! `cell-finished` line, and per-attempt failures, deadline kills, and
+//! the cancellation itself are left to the flight recorder and trace.
 
 use crate::json::{obj, parse, Json};
+use crate::lifecycle::{first_line, CampaignEvent, CampaignSink, CellTally};
+use crate::manifest::per_sec;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// One progress event, as written to (and parsed from) the stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,7 +96,7 @@ pub enum ProgressEvent {
         /// Milliseconds since campaign start.
         t_ms: u64,
     },
-    /// A sampler tick: how the campaign is doing right now.
+    /// A heartbeat tick: how the campaign is doing right now.
     Heartbeat {
         /// Cells with an attempt currently in flight.
         active_cells: u64,
@@ -176,8 +186,8 @@ impl ProgressEvent {
                 instr_per_sec,
                 reason,
                 t_ms,
-            } => {
-                let mut fields = match obj([
+            } => with_optional(
+                obj([
                     tag,
                     ("cell", Json::from(cell.as_str())),
                     ("outcome", Json::from(outcome.as_str())),
@@ -186,37 +196,27 @@ impl ProgressEvent {
                     ("instructions", Json::from(*instructions)),
                     ("instr_per_sec", Json::from(*instr_per_sec)),
                     ("t_ms", Json::from(*t_ms)),
-                ]) {
-                    Json::Obj(fields) => fields,
-                    _ => unreachable!("obj() builds an object"),
-                };
-                if let Some(reason) = reason {
-                    fields.insert("reason".to_string(), Json::from(reason.as_str()));
-                }
-                Json::Obj(fields)
-            }
+                ]),
+                "reason",
+                reason.as_deref().map(Json::from),
+            ),
             ProgressEvent::Heartbeat {
                 active_cells,
                 done,
                 total,
                 eta_ms,
                 t_ms,
-            } => {
-                let mut fields = match obj([
+            } => with_optional(
+                obj([
                     tag,
                     ("active_cells", Json::from(*active_cells)),
                     ("done", Json::from(*done)),
                     ("total", Json::from(*total)),
                     ("t_ms", Json::from(*t_ms)),
-                ]) {
-                    Json::Obj(fields) => fields,
-                    _ => unreachable!("obj() builds an object"),
-                };
-                if let Some(eta) = eta_ms {
-                    fields.insert("eta_ms".to_string(), Json::from(*eta));
-                }
-                Json::Obj(fields)
-            }
+                ]),
+                "eta_ms",
+                eta_ms.map(Json::from),
+            ),
             ProgressEvent::CampaignFinished {
                 done,
                 failed,
@@ -306,6 +306,14 @@ impl ProgressEvent {
     }
 }
 
+/// `doc` with `key` added when `value` is present.
+fn with_optional(mut doc: Json, key: &str, value: Option<Json>) -> Json {
+    if let (Json::Obj(fields), Some(value)) = (&mut doc, value) {
+        fields.insert(key.to_string(), value);
+    }
+    doc
+}
+
 /// The progress file path for a run id.
 pub fn progress_path(dir: &Path, run_id: &str) -> PathBuf {
     dir.join(format!("{run_id}.progress.jsonl"))
@@ -315,13 +323,20 @@ pub fn progress_path(dir: &Path, run_id: &str) -> PathBuf {
 ///
 /// Every event is serialized to a complete `line + '\n'` buffer first
 /// and appended with a single `write` syscall under a mutex, so
-/// concurrent emitters (the scheduler and the heartbeat sampler) never
-/// interleave partial lines. A crash can still tear the *final* line —
-/// which is exactly the case [`read_events`] tolerates.
+/// concurrent emitters never interleave partial lines. A crash can
+/// still tear the *final* line — which is exactly the case
+/// [`read_events`] tolerates.
+///
+/// The writer's clock starts at [`ProgressWriter::create`]; as a
+/// [`CampaignSink`] it stamps every rendered event's `t_ms` from it.
 #[derive(Debug)]
 pub struct ProgressWriter {
     path: PathBuf,
+    run: String,
+    started: Instant,
     file: Mutex<File>,
+    /// Set by the first failed append, so each stream warns once.
+    failed: AtomicBool,
 }
 
 impl ProgressWriter {
@@ -339,7 +354,10 @@ impl ProgressWriter {
             .open(&path)?;
         Ok(ProgressWriter {
             path,
+            run: run_id.to_string(),
+            started: Instant::now(),
             file: Mutex::new(file),
+            failed: AtomicBool::new(false),
         })
     }
 
@@ -357,6 +375,119 @@ impl ProgressWriter {
         let mut file = self.file.lock().expect("progress writer poisoned");
         file.write_all(line.as_bytes())?;
         file.flush()
+    }
+
+    /// Whether an append to this stream has failed (and been reported).
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// [`ProgressWriter::emit`] for the campaign path: a write failure
+    /// (full disk, yanked volume) is reported on stderr once per stream
+    /// and otherwise dropped.
+    fn append(&self, event: &ProgressEvent) {
+        if let Err(e) = self.emit(event) {
+            if !self.failed.swap(true, Ordering::Relaxed) {
+                eprintln!("progress: cannot append to {}: {e}", self.path.display());
+            }
+        }
+    }
+
+    fn finished(&self, tally: &CellTally, outcome: &str, reason: Option<String>) -> ProgressEvent {
+        ProgressEvent::CellFinished {
+            cell: tally.cell.to_string(),
+            outcome: outcome.to_string(),
+            attempts: u64::from(tally.attempts),
+            wall_ms: tally.wall_ms,
+            instructions: tally.instructions,
+            instr_per_sec: per_sec(tally.instructions, tally.wall_ms.saturating_mul(1_000_000)),
+            reason,
+            t_ms: self.t_ms(),
+        }
+    }
+
+    fn t_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
+}
+
+impl CampaignSink for ProgressWriter {
+    fn on_event(&self, event: &CampaignEvent<'_>) {
+        let t_ms = self.t_ms();
+        let line = match *event {
+            CampaignEvent::Started {
+                tool,
+                scale,
+                trace_id,
+                total,
+                workers,
+            } => ProgressEvent::CampaignStarted {
+                run: self.run.clone(),
+                tool: tool.to_string(),
+                scale: scale.to_string(),
+                total,
+                workers,
+                trace_id: trace_id.to_string(),
+                unix_ms: SystemTime::now()
+                    .duration_since(UNIX_EPOCH)
+                    .map(|d| d.as_millis() as u64)
+                    .unwrap_or(0),
+            },
+            CampaignEvent::CellResumed(tally) => self.finished(&tally, "resumed", None),
+            CampaignEvent::AttemptStarted {
+                cell, attempt: 1, ..
+            } => ProgressEvent::CellStarted {
+                cell: cell.to_string(),
+                t_ms,
+            },
+            CampaignEvent::AttemptStarted {
+                cell,
+                attempt,
+                reason,
+            } => ProgressEvent::CellRetry {
+                cell: cell.to_string(),
+                attempt: u64::from(attempt),
+                reason: first_line(reason).to_string(),
+                t_ms,
+            },
+            CampaignEvent::CellFinished(tally) => self.finished(&tally, "ok", None),
+            CampaignEvent::CellFailed(tally, reason) => {
+                self.finished(&tally, "err", Some(first_line(reason).to_string()))
+            }
+            CampaignEvent::Cancelled { reason, unresolved } => {
+                // Close every announced start so the stream's
+                // started/finished sets stay reconciled.
+                for tally in unresolved {
+                    let reason = format!("cancelled: {}", first_line(reason));
+                    self.append(&self.finished(tally, "err", Some(reason)));
+                }
+                return;
+            }
+            CampaignEvent::Heartbeat {
+                active,
+                done,
+                total,
+            } => ProgressEvent::Heartbeat {
+                active_cells: active,
+                done,
+                total,
+                eta_ms: eta_ms(done, total, t_ms),
+                t_ms,
+            },
+            CampaignEvent::Finished {
+                done,
+                failed,
+                total,
+            } => ProgressEvent::CampaignFinished {
+                done,
+                failed,
+                total,
+                wall_ms: t_ms,
+                t_ms,
+            },
+            CampaignEvent::AttemptFailed { .. } | CampaignEvent::DeadlineKill { .. } => return,
+        };
+        self.append(&line);
     }
 }
 
@@ -501,6 +632,29 @@ mod tests {
         let read = read_events(&progress_path(&dir, "w1")).unwrap();
         assert_eq!(read.events.len(), sample_events().len());
         assert_eq!(read.events, sample_events());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn every_failing_stream_reports_its_own_write_failure() {
+        // Two streams on a full device in one process: the first one's
+        // warning must not silence the second's (a daemon serves many
+        // campaigns), and heartbeats take the same reporting path.
+        let dir = std::env::temp_dir().join(format!("sim-progress-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for run in ["full-a", "full-b"] {
+            std::os::unix::fs::symlink("/dev/full", progress_path(&dir, run)).unwrap();
+            let stream = ProgressWriter::create(&dir, run).unwrap();
+            assert!(!stream.failed());
+            stream.on_event(&CampaignEvent::Heartbeat {
+                active: 1,
+                done: 0,
+                total: 2,
+            });
+            assert!(stream.failed(), "{run} must report its own failure");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,7 @@
 
 use crate::fsio::atomic_write_str;
 use crate::json::{obj, Json};
+use crate::lifecycle::{CampaignEvent, CampaignSink};
 use crate::span::SpanRegistry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -299,6 +300,37 @@ impl TraceCollector {
         text.push('\n');
         atomic_write_str(&path, &text)?;
         Ok(path)
+    }
+}
+
+/// The trace keeps attempts as slices on worker lanes and retries, kills,
+/// and cancellation as instants on the control lane. The campaign's end
+/// closes any slice still open, so the export never loses a running cell.
+impl CampaignSink for TraceCollector {
+    fn on_event(&self, event: &CampaignEvent<'_>) {
+        match *event {
+            CampaignEvent::AttemptStarted { cell, attempt, .. } => {
+                if attempt > 1 {
+                    self.instant("cell-retry", cell);
+                }
+                self.begin(cell, attempt);
+            }
+            CampaignEvent::AttemptFailed { cell, .. } => self.end(cell, "err"),
+            CampaignEvent::DeadlineKill { cell, .. } => {
+                self.end(cell, "killed");
+                self.instant("deadline-kill", cell);
+            }
+            CampaignEvent::CellFinished(tally) => self.end(tally.cell, "ok"),
+            CampaignEvent::Cancelled { reason, .. } => {
+                self.close_open("cancelled");
+                self.instant("campaign-cancelled", reason);
+            }
+            CampaignEvent::Finished { .. } => self.close_open("killed"),
+            CampaignEvent::Started { .. }
+            | CampaignEvent::CellResumed(..)
+            | CampaignEvent::CellFailed(..)
+            | CampaignEvent::Heartbeat { .. } => {}
+        }
     }
 }
 
