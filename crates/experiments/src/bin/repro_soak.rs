@@ -9,8 +9,8 @@
 //! clients mixing well-behaved requests, mid-campaign cancels,
 //! slow-loris connections, and mid-body disconnects, then asserts the
 //! robustness invariants: every request terminal, namespaces private,
-//! warm trace store (`misses == 0`), 429 shedding when expected, no
-//! thread/fd leaks, and a clean SIGTERM drain (exit 0).
+//! 429 shedding when expected, no thread/fd leaks, and a clean SIGTERM
+//! drain (exit 0).
 //!
 //! ```text
 //! options:

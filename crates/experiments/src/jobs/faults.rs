@@ -11,7 +11,6 @@
 //! | `delay:<cell>:<ms>` | every attempt of `<cell>` sleeps first (trips deadlines) |
 //! | `flaky:<cell>:<n>` | the first `<n>` attempts of `<cell>` panic, later ones succeed (exercises retry) |
 //! | `truncate:<bench>:<frac>` | `<bench>`'s trace generates only `<frac>` of its budget |
-//! | `truncate-store:<bench>:<frac>` | the first store recording of `<bench>`'s trace writes only `<frac>` of the file (torn write; read-back detection makes the attempt fail retryably) |
 //! | `wrong-target:<bench>[:<period>]` | every `<period>`-th scored indirect prediction of `<bench>` is perturbed to a wrong, non-fall-through target (default period 97) — a seeded predictor bug the `SL013` envelope rule must catch |
 //! | `random:<seed>:<rate>` | each (cell, attempt) panics with probability `<rate>`, seeded |
 //!
@@ -21,7 +20,6 @@
 //! workload-generation layer can see truncation faults; everything else
 //! is applied by the pool at attempt start via [`FaultPlan::apply`].
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -43,9 +41,6 @@ pub struct FaultPlan {
     cell_faults: Vec<(String, CellFault)>,
     /// `(benchmark, fraction)` trace truncations.
     truncate: Vec<(String, f64)>,
-    /// `(benchmark, fraction)` store-recording truncations (torn
-    /// writes), each fired once per installed plan.
-    truncate_store: Vec<(String, f64)>,
     /// `(benchmark, period)` wrong-target predictor bugs: every
     /// `period`-th scored indirect prediction is perturbed.
     wrong_target: Vec<(String, u64)>,
@@ -67,7 +62,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.cell_faults.is_empty()
             && self.truncate.is_empty()
-            && self.truncate_store.is_empty()
             && self.wrong_target.is_empty()
             && self.random.is_none()
     }
@@ -107,17 +101,6 @@ impl FaultPlan {
                     }
                     plan.truncate.push((bench.to_string(), frac));
                 }
-                ["truncate-store", bench, frac] => {
-                    let frac: f64 = frac.parse().map_err(|_| {
-                        format!("fault {part:?}: truncate-store wants a fraction, got {frac:?}")
-                    })?;
-                    if !(0.0..=1.0).contains(&frac) {
-                        return Err(format!(
-                            "fault {part:?}: truncate-store fraction must be in [0, 1], got {frac}"
-                        ));
-                    }
-                    plan.truncate_store.push((bench.to_string(), frac));
-                }
                 ["wrong-target", bench] => {
                     plan.wrong_target
                         .push((bench.to_string(), WRONG_TARGET_DEFAULT_PERIOD));
@@ -151,7 +134,7 @@ impl FaultPlan {
                     return Err(format!(
                         "unrecognized REPRO_FAULTS entry {part:?}; accepted forms: \
                          panic:<cell>, delay:<cell>:<ms>, flaky:<cell>:<n>, \
-                         truncate:<bench>:<frac>, truncate-store:<bench>:<frac>, \
+                         truncate:<bench>:<frac>, \
                          wrong-target:<bench>[:<period>], random:<seed>:<rate>"
                     ))
                 }
@@ -213,14 +196,6 @@ impl FaultPlan {
             .map(|&(_, f)| f)
     }
 
-    /// The store-recording truncation fraction for `bench`, if any.
-    pub fn store_truncation(&self, bench: &str) -> Option<f64> {
-        self.truncate_store
-            .iter()
-            .find(|(b, _)| b == bench)
-            .map(|&(_, f)| f)
-    }
-
     /// The wrong-target perturbation period for `bench`, if any.
     pub fn wrong_target(&self, bench: &str) -> Option<u64> {
         self.wrong_target
@@ -253,19 +228,10 @@ pub(crate) fn split_mix_unit(seed: u64, cell: &str, attempt: u32) -> f64 {
 /// every experiment signature.
 static ACTIVE: Mutex<Option<FaultPlan>> = Mutex::new(None);
 
-/// Benchmarks whose `truncate-store` fault has already fired under the
-/// currently installed plan. The fault models one torn write, not a
-/// persistently broken disk — consuming it lets the retry that the
-/// failure provokes succeed.
-static STORE_FAULTS_FIRED: Mutex<Option<HashSet<String>>> = Mutex::new(None);
-
 /// Installs `plan` as the active plan, returning a guard that uninstalls
 /// it on drop.
 pub fn install(plan: FaultPlan) -> ActiveGuard {
     *ACTIVE.lock().expect("fault plan lock poisoned") = Some(plan);
-    *STORE_FAULTS_FIRED
-        .lock()
-        .expect("store fault lock poisoned") = Some(HashSet::new());
     ActiveGuard
 }
 
@@ -289,35 +255,12 @@ pub fn active_wrong_target(bench: &str) -> Option<u64> {
         .and_then(|p| p.wrong_target(bench))
 }
 
-/// Takes (consumes) the store-recording truncation for `bench`: returns
-/// the fraction the first time it is called per benchmark under the
-/// active plan, `None` afterwards and when no plan targets `bench`.
-pub fn take_store_truncation(bench: &str) -> Option<f64> {
-    let fraction = ACTIVE
-        .lock()
-        .expect("fault plan lock poisoned")
-        .as_ref()
-        .and_then(|p| p.store_truncation(bench))?;
-    let mut fired = STORE_FAULTS_FIRED
-        .lock()
-        .expect("store fault lock poisoned");
-    let fired = fired.as_mut()?;
-    if fired.insert(bench.to_string()) {
-        Some(fraction)
-    } else {
-        None
-    }
-}
-
 /// Uninstalls the active fault plan when dropped.
 pub struct ActiveGuard;
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
         *ACTIVE.lock().expect("fault plan lock poisoned") = None;
-        *STORE_FAULTS_FIRED
-            .lock()
-            .expect("store fault lock poisoned") = None;
     }
 }
 
@@ -350,8 +293,6 @@ mod tests {
             "delay:x:abc",
             "flaky:x:b",
             "truncate:perl:1.5",
-            "truncate-store:perl:1.5",
-            "truncate-store:perl:x",
             "wrong-target:perl:0",
             "wrong-target:perl:abc",
             "random:a:0.5",
@@ -409,36 +350,19 @@ mod tests {
         // Synthetic benchmark names: `install` is process-global, so
         // using real benchmark names here would race with other unit
         // tests that build traces in parallel.
-        let plan = FaultPlan::parse(
-            "truncate:synth-a:0.25,truncate-store:synth-b:0.5,wrong-target:synth-c:7",
-        )
-        .unwrap();
+        let plan = FaultPlan::parse("truncate:synth-a:0.25,wrong-target:synth-c:7").unwrap();
         assert_eq!(plan.truncation("synth-a"), Some(0.25));
         assert_eq!(plan.truncation("synth-b"), None);
-        assert_eq!(plan.store_truncation("synth-b"), Some(0.5));
-        assert_eq!(plan.store_truncation("synth-a"), None);
 
         assert_eq!(active_truncation("synth-a"), None);
-        assert_eq!(take_store_truncation("synth-b"), None);
         assert_eq!(active_wrong_target("synth-c"), None);
         {
             let _guard = install(plan.clone());
             assert_eq!(active_truncation("synth-a"), Some(0.25));
             assert_eq!(active_wrong_target("synth-c"), Some(7));
             assert_eq!(active_wrong_target("synth-a"), None);
-            // A store fault is a single torn write: it fires once per
-            // benchmark per installed plan, so the retry it provokes
-            // records cleanly.
-            assert_eq!(take_store_truncation("synth-b"), Some(0.5));
-            assert_eq!(take_store_truncation("synth-b"), None);
-            assert_eq!(take_store_truncation("synth-a"), None);
         }
         assert_eq!(active_truncation("synth-a"), None);
-        {
-            // Reinstalling re-arms the one-shot.
-            let _guard = install(plan);
-            assert_eq!(take_store_truncation("synth-b"), Some(0.5));
-        }
-        assert_eq!(take_store_truncation("synth-b"), None);
+        assert_eq!(active_wrong_target("synth-c"), None);
     }
 }

@@ -57,9 +57,9 @@ fn analyze_common(
 
 /// Runs the lint pass over one benchmark: the static analysis always,
 /// plus — when `conformance` is set — a trace replay at `scale` through
-/// the shared [`trace`] entry point (so telemetry attribution, the
-/// trace store, and `REPRO_FAULTS` truncation apply, and a truncated
-/// trace surfaces as an `SL011` finding).
+/// the shared [`trace`] entry point (so telemetry attribution and
+/// `REPRO_FAULTS` truncation apply, and a truncated trace surfaces as an
+/// `SL011` finding).
 pub fn analyze(
     ctx: &TelemetryCtx,
     bench: Benchmark,

@@ -65,9 +65,6 @@ impl Scenario {
 /// Builds the standard scenario matrix at a scale.
 ///
 /// * `trace-gen/<bench>` — workload trace generation, all 8 benchmarks.
-///   Calls the generator directly (bypassing the trace store) so the
-///   scenario keeps measuring generation even when `results/traces/` is
-///   warm.
 /// * `trace-encode/<bench>` — `.strc` encoding of a pre-generated
 ///   trace, all 8 benchmarks. Reports `bytes` (and so bytes/instr).
 /// * `trace-decode/<bench>` — streaming `.strc` decode back to a
@@ -85,8 +82,8 @@ impl Scenario {
 /// * `simpoint-fingerprint` — BBV fingerprinting plus phase clustering
 ///   over the two heaviest indirect-jump workloads (perl, gcc).
 /// * `simpoint-sampled-table1` — the per-run sampled measurement path
-///   (cached phase map, warmed representative slices, weighted
-///   recombination) on perl and gcc; compare against
+///   (in-memory fingerprinting and clustering, warmed representative
+///   slices, weighted recombination) on perl and gcc; compare against
 ///   `functional-btb/{perl,gcc}` for the sampling speedup.
 /// * `e2e/table1` — end-to-end Table 1 regeneration at quick scale.
 ///
@@ -237,12 +234,12 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     {
         // Phase-sampling layer, on the two heaviest indirect-jump
         // workloads. `simpoint-fingerprint` isolates BBV fingerprinting
-        // plus clustering — the cost paid once at trace-record time.
-        // `simpoint-sampled-table1` is the sampled measurement path a
-        // campaign actually pays per run: the cached phase map beside
-        // the store file plus warmed representative simulation. Its
-        // wall clock against exact `functional-btb/{perl,gcc}` is the
-        // sampling speedup the BENCH trajectory documents.
+        // plus clustering alone. `simpoint-sampled-table1` is the
+        // sampled measurement path a campaign pays per run: the phase
+        // map clustered in memory, then warmed representative
+        // simulation. Its wall clock against exact
+        // `functional-btb/{perl,gcc}` is the sampling speedup the BENCH
+        // trajectory documents.
         let perl = Rc::clone(&traces[Benchmark::Perl.name()]);
         let gcc = Rc::clone(&traces[Benchmark::Gcc.name()]);
         scenarios.push(Scenario::new("simpoint-fingerprint", {
@@ -261,12 +258,11 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         let ctx = ctx.clone();
         scenarios.push(Scenario::new("simpoint-sampled-table1", move || {
             let _ = hub::take_instructions();
-            for (bench, trace) in [(Benchmark::Perl, &perl), (Benchmark::Gcc, &gcc)] {
-                // The real campaign prologue: cached phase map beside
-                // the store file (clustered from record-time
-                // fingerprints on the first-ever run), then warmed
+            for trace in [&perl, &gcc] {
+                // The real campaign prologue: the phase map clustered
+                // from in-memory fingerprints, then warmed
                 // representative simulation.
-                let map = crate::sample::stored_phase_map(&ctx, bench, scale, trace, None);
+                let map = crate::sample::phase_map(&ctx, trace);
                 let rate = crate::sample::sampled_indirect_mispred(
                     &ctx,
                     trace,

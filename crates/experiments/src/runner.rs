@@ -9,9 +9,7 @@ use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{simulate, simulate_instrumented, MachineConfig, SimReport};
 use sim_isa::VecTrace;
-use sim_trace::{TraceKey, TraceStore};
 use sim_workloads::Benchmark;
-use std::path::PathBuf;
 use std::time::Instant;
 use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
 use target_cache::TargetCacheConfig;
@@ -163,120 +161,32 @@ fn config_desc(config: &FrontEndConfig) -> String {
     }
 }
 
-/// Builds the trace store from `REPRO_TRACE_STORE` /
-/// `REPRO_TRACE_STORE_DIR`, exiting with status 2 on a typo — the same
-/// strict-knob contract as [`Scale::from_env_or_exit`].
-pub fn trace_store_or_exit() -> TraceStore {
-    TraceStore::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The path of the canonical store file for a benchmark's trace at a
-/// scale, whether or not it exists yet. Sampling keys its phase-map
-/// cache off this path (`<stem>.phases.json` rides next to the
-/// `.strc`).
-pub fn trace_store_path(bench: Benchmark, scale: Scale) -> PathBuf {
-    let store = trace_store_or_exit();
-    store.path_for(&store_key(bench, scale))
-}
-
-/// The store key for a benchmark's canonical trace at a scale.
-fn store_key(bench: Benchmark, scale: Scale) -> TraceKey {
-    TraceKey {
-        benchmark: bench.name().to_string(),
-        scale: scale.name().to_string(),
-        budget: scale.budget(bench) as u64,
-        seed: bench.workload().seed(),
-        generator_version: sim_workloads::GENERATOR_VERSION,
-    }
-}
-
-/// Produces the canonical trace of a benchmark at the given scale:
-/// replayed from the content-addressed trace store on a hit, generated
-/// (and recorded) on a miss. `REPRO_TRACE_STORE=off|rw|ro` controls the
-/// store; the default is `rw` under `results/traces/`.
+/// Produces the canonical trace of a benchmark at the given scale by
+/// running its seeded generator in process. This is the only way a
+/// campaign obtains a trace: the workloads are deterministic, and
+/// regenerating one is faster than decoding it from `.strc` (which
+/// stays an interchange and audit format; see `trace-pack record`).
 ///
 /// With telemetry active this also declares `bench` as the benchmark
 /// subsequent runs are attributed to (the table binaries are sequential:
 /// they generate one trace and run every configuration on it before
-/// moving to the next benchmark), and accounts store hits, misses, and
-/// decode throughput under `trace_store.*` counters.
+/// moving to the next benchmark) and times generation under the
+/// `workload-gen` span.
 ///
 /// When an installed fault plan (see [`crate::jobs::faults`]) truncates
 /// this benchmark, the generated trace is proportionally shorter — the
 /// downstream statistics all normalize by actual executed counts, so a
-/// truncated trace degrades resolution, not correctness. Truncated
-/// generation bypasses the store entirely: a degraded trace must never
-/// be recorded under (or replayed from) the canonical cache key. A
-/// corrupt store file (or an injected `truncate-store` fault) panics
-/// with the store's diagnosis — under the campaign runner that is a
-/// retryable cell failure, and the store has already deleted the bad
-/// file so the retry regenerates it.
+/// truncated trace degrades resolution, not correctness.
 pub fn trace(ctx: &TelemetryCtx, bench: Benchmark, scale: Scale) -> VecTrace {
-    trace_with_fingerprints(ctx, bench, scale).0
-}
-
-/// [`trace`], also returning the trace's BBV side-section when the
-/// store replay carried one. Fingerprints are computed at record time
-/// and validated against the header on replay, so phase sampling
-/// clusters them directly instead of re-walking the trace — `None`
-/// (store off, read-only miss, fault-truncated generation) means the
-/// caller must fingerprint in memory.
-pub fn trace_with_fingerprints(
-    ctx: &TelemetryCtx,
-    bench: Benchmark,
-    scale: Scale,
-) -> (VecTrace, Option<sim_trace::BbvSection>) {
     let budget = scale.budget(bench);
     let hub = ctx.hub();
     if let Some(hub) = hub {
         hub.set_benchmark(bench.name());
     }
-    if let Some(fraction) = crate::jobs::faults::active_truncation(bench.name()) {
-        let _g = hub.map(|h| h.spans().span("workload-gen"));
-        return (bench.workload().generate_truncated(budget, fraction), None);
-    }
-    let store = trace_store_or_exit();
-    let key = store_key(bench, scale);
-    let corrupt = crate::jobs::faults::take_store_truncation(bench.name());
-    let generate = || {
-        let _g = hub.map(|h| h.spans().span("workload-gen"));
-        bench.workload().generate(budget)
-    };
-    let outcome = {
-        let _g = hub.map(|h| h.spans().span("trace-store"));
-        store.load_or_record_with(&key, generate, corrupt)
-    };
-    match outcome {
-        Ok(out) => {
-            if let Some(hub) = hub {
-                let metrics = hub.registry();
-                metrics
-                    .counter(if out.hit {
-                        "trace_store.hits"
-                    } else {
-                        "trace_store.misses"
-                    })
-                    .add(1);
-                if out.recorded {
-                    metrics.counter("trace_store.records").add(1);
-                    metrics.counter("trace_store.bytes_written").add(out.bytes);
-                }
-                if out.hit {
-                    metrics.counter("trace_store.bytes_read").add(out.bytes);
-                }
-                if out.decode_ns > 0 {
-                    metrics.counter("trace_store.decode_ns").add(out.decode_ns);
-                    metrics
-                        .counter("trace_store.decoded_instructions")
-                        .add(out.trace.len() as u64);
-                }
-            }
-            (out.trace, out.bbv)
-        }
-        Err(e) => panic!("trace store: {e}"),
+    let _g = hub.map(|h| h.spans().span("workload-gen"));
+    match crate::jobs::faults::active_truncation(bench.name()) {
+        Some(fraction) => bench.workload().generate_truncated(budget, fraction),
+        None => bench.workload().generate(budget),
     }
 }
 
@@ -298,6 +208,7 @@ pub fn functional(
             h.run(trace);
         }
         hub.finish_run(
+            "functional",
             &config_desc(h.config()),
             trace.len() as u64,
             h.stats(),
@@ -321,6 +232,7 @@ pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) ->
             simulate_instrumented(trace, &machine, Some(hub.harness_telemetry()))
         };
         hub.finish_run(
+            "timing",
             &config_desc(&frontend),
             report.instructions,
             &report.branch_stats,

@@ -1,9 +1,8 @@
 //! The `repro-serve` daemon: campaign execution behind HTTP.
 //!
-//! One process owns the trace store, the telemetry manifests, and a
-//! bounded pool of worker slots; clients submit experiment requests
-//! over HTTP and poll (or stream) their progress. The robustness
-//! contract, end to end:
+//! One process owns the telemetry manifests and a bounded pool of
+//! worker slots; clients submit experiment requests over HTTP and poll
+//! (or stream) their progress. The robustness contract, end to end:
 //!
 //! * **Bounded admission.** At most `REPRO_SERVE_QUEUE` requests wait;
 //!   beyond that `POST /run` sheds with `429` + `Retry-After` instead
@@ -17,8 +16,8 @@
 //!   skips them.
 //! * **Isolation.** Every request gets its own namespace
 //!   `<root>/<req-id>/{journal,progress,telemetry}` and its own
-//!   telemetry session; the only shared mutable state is the trace
-//!   store, which is single-writer record-on-miss.
+//!   telemetry session; every campaign generates its traces in
+//!   process, so requests share no mutable files.
 //! * **Graceful drain.** SIGTERM/SIGINT stop admission, cancel queued
 //!   work, let in-flight cells finish and journal, flush manifests, and
 //!   exit 0.
@@ -339,8 +338,7 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
     server.registry.set_cells(&entry.id, total, done, failed);
 
     // Drop the session *before* the terminal state so a client that
-    // sees `done` can immediately read the manifest (trace_store stats
-    // included).
+    // sees `done` can immediately read the manifest.
     drop(session);
 
     if outcome.cancelled {
@@ -631,19 +629,13 @@ fn status(server: &Arc<Server>, id: &str) -> Response {
             fields.insert("progress".to_string(), status.to_json());
         }
     }
-    // Terminal view: the manifest carries the trace-store section that
-    // proves warm requests took the read path (`"misses": 0`).
+    // Terminal view: where the request's manifest landed.
     if entry.state.is_terminal() {
         let manifest = entry
             .namespace
             .join("telemetry")
             .join(format!("{}.manifest.json", entry.spec.experiment));
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if let Ok(doc) = sim_telemetry::json::parse(&text) {
-                if let Some(ts) = doc.get("trace_store") {
-                    fields.insert("trace_store".to_string(), ts.clone());
-                }
-            }
+        if manifest.exists() {
             fields.insert(
                 "manifest".to_string(),
                 Json::from(manifest.display().to_string()),

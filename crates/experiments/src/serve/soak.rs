@@ -9,8 +9,6 @@
 //!
 //! * every admitted request reached a terminal state, and its results
 //!   stayed in its own namespace (no cross-request contamination);
-//! * warm-store requests report `trace_store.misses == 0` — the daemon
-//!   actually amortized trace generation;
 //! * load-shedding fired when the storm outran the queue (when the
 //!   scenario expects it);
 //! * the daemon leaked no threads or file descriptors (via `/proc`);
@@ -379,7 +377,6 @@ fn spawn_daemon(config: &SoakConfig, scratch: &std::path::Path) -> Result<Daemon
         .env("REPRO_SERVE_ROOT", scratch.join("serve"))
         .env("REPRO_SERVE_QUEUE", config.queue.to_string())
         .env("REPRO_SERVE_READ_TIMEOUT_MS", "300")
-        .env("REPRO_TRACE_STORE_DIR", scratch.join("traces"))
         .env("REPRO_JOBS", "4")
         .env("REPRO_BACKOFF_MS", "5")
         .stdout(
@@ -431,8 +428,8 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
         .clone()
         .unwrap_or_else(|| daemon.as_ref().expect("spawned above").addr.clone());
 
-    // Liveness, then a warmup request so the storm runs against a warm
-    // trace store (its own misses are expected and excluded).
+    // Liveness, then one request that must finish on the idle daemon
+    // before the storm starts.
     let health = http(&addr, "GET", "/healthz", None)?;
     if health.status != 200 {
         return Err(format!("healthz -> {}", health.status));
@@ -523,24 +520,6 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
                     "{}: progress stream belongs to {run:?} — cross-request contamination",
                     s.id
                 ));
-            }
-        }
-        // Warm store: every post-warmup done request replays, never
-        // regenerates.
-        if s.state == "done" {
-            match s.status.get("trace_store").and_then(|t| t.get("misses")) {
-                Some(misses) => {
-                    if misses.as_u64() != Some(0) {
-                        report.violations.push(format!(
-                            "{}: warm-store request reported {misses:?} misses",
-                            s.id
-                        ));
-                    }
-                }
-                None => report.violations.push(format!(
-                    "{}: done request has no trace_store section in status",
-                    s.id
-                )),
             }
         }
     }

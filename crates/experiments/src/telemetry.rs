@@ -212,11 +212,13 @@ impl Hub {
             .push(row);
     }
 
-    /// Records one completed harness (or timing) run: copies the
-    /// simulator's statistics into a manifest [`RunRecord`] and drains the
-    /// event sink, attributing events to the current benchmark.
+    /// Records one completed functional or timing walk (`mode`): copies
+    /// the simulator's statistics into a manifest [`RunRecord`] and drains
+    /// the event sink, attributing events to the current benchmark.
+    #[allow(clippy::too_many_arguments)]
     pub fn finish_run(
         &self,
+        mode: &str,
         config: &str,
         instructions: u64,
         stats: &BranchClassStats,
@@ -227,6 +229,7 @@ impl Hub {
         let mut state = self.state.lock().expect("hub state poisoned");
         let label = state.label();
         let mut run = RunRecord::new(label.clone(), config);
+        run.mode = mode.to_string();
         run.instructions = instructions;
         run.wall_ns = wall_ns;
         run.count("branches", stats.total_executed());

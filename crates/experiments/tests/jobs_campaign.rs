@@ -34,15 +34,12 @@ fn run_table4(journal_dir: &Path, envs: &[(&str, &str)]) -> Output {
         "REPRO_RETRIES",
         "REPRO_DEADLINE_MS",
         "REPRO_BACKOFF_MS",
-        "REPRO_TRACE_STORE",
-        "REPRO_TRACE_STORE_DIR",
     ] {
         cmd.env_remove(var);
     }
     cmd.env("REPRO_SCALE", "quick")
         .env("REPRO_TELEMETRY", "off")
         .env("REPRO_JOURNAL_DIR", journal_dir)
-        .env("REPRO_TRACE_STORE_DIR", journal_dir.join("traces"))
         .env("REPRO_BACKOFF_MS", "1");
     for (k, v) in envs {
         cmd.env(k, v);

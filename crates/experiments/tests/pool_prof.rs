@@ -21,15 +21,8 @@ fn scratch(name: &str) -> PathBuf {
 fn parallel_pool_records_nested_spans_and_instruction_counts() {
     let journal_dir = scratch("journal");
     let out_dir = scratch("telemetry");
-    let store_dir = scratch("traces");
     let _ = std::fs::remove_dir_all(&journal_dir);
     let _ = std::fs::remove_dir_all(&out_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
-    // Point the trace store at an empty scratch directory so every cell
-    // deterministically generates (cold store) — this test binary holds a
-    // single test, so mutating the process environment is safe.
-    std::env::set_var("REPRO_TRACE_STORE", "rw");
-    std::env::set_var("REPRO_TRACE_STORE_DIR", &store_dir);
 
     let session = telemetry::session_with_prof(
         "pool-prof-test",
@@ -101,10 +94,9 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
     }
 
     // Concurrent workers nested their phases under the cell span: the
-    // registry holds `cell:prof` roots with `trace-store` (wrapping the
-    // cold-store `workload-gen`) and `harness-replay` children, each
-    // entered once per benchmark, and no cross-thread path like
-    // `workload-gen;harness-replay`.
+    // registry holds `cell:prof` roots with `workload-gen` and
+    // `harness-replay` children, each entered once per benchmark, and no
+    // cross-thread path like `workload-gen;harness-replay`.
     let spans = hub.spans().snapshot();
     let count_of = |path: &str| {
         spans
@@ -115,12 +107,7 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
     };
     let n = benches.len() as u64;
     assert_eq!(count_of("cell:prof"), n, "{spans:?}");
-    assert_eq!(count_of("cell:prof;trace-store"), n, "{spans:?}");
-    assert_eq!(
-        count_of("cell:prof;trace-store;workload-gen"),
-        n,
-        "{spans:?}"
-    );
+    assert_eq!(count_of("cell:prof;workload-gen"), n, "{spans:?}");
     assert_eq!(count_of("cell:prof;harness-replay"), n, "{spans:?}");
     assert!(
         spans.iter().all(|s| s.path.starts_with("cell:prof")),
@@ -131,13 +118,9 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
     // hierarchy once the session closes.
     drop(session);
     let folded = std::fs::read_to_string(out_dir.join("pool-prof-test.folded.txt")).unwrap();
-    assert!(
-        folded.contains("cell:prof;trace-store;workload-gen"),
-        "{folded}"
-    );
+    assert!(folded.contains("cell:prof;workload-gen"), "{folded}");
     assert!(folded.contains("cell:prof;harness-replay"), "{folded}");
 
     let _ = std::fs::remove_dir_all(&journal_dir);
     let _ = std::fs::remove_dir_all(&out_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
 }

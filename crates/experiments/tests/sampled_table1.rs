@@ -30,8 +30,6 @@ fn run_tool(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
         "REPRO_RETRIES",
         "REPRO_DEADLINE_MS",
         "REPRO_BACKOFF_MS",
-        "REPRO_TRACE_STORE",
-        "REPRO_TRACE_STORE_DIR",
         "REPRO_SAMPLE",
         "REPRO_SAMPLE_EXACT",
         "REPRO_SAMPLE_TOLERANCE_PP",
@@ -42,7 +40,6 @@ fn run_tool(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
     cmd.env("REPRO_SCALE", "quick")
         .env("REPRO_TELEMETRY", "off")
         .env("REPRO_JOURNAL_DIR", dir.join("journal"))
-        .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
         .env("REPRO_SAMPLE_DIR", dir.join("sampling"));
     for (k, v) in envs {
         cmd.env(k, v);

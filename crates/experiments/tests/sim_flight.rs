@@ -41,8 +41,6 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
         "REPRO_RETRIES",
         "REPRO_DEADLINE_MS",
         "REPRO_BACKOFF_MS",
-        "REPRO_TRACE_STORE",
-        "REPRO_TRACE_STORE_DIR",
         "REPRO_TRACE_EXPORT",
         "REPRO_TRACEVIZ_DIR",
         "REPRO_FLIGHT_DIR",
@@ -59,7 +57,6 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
         .env("REPRO_TRACEVIZ_DIR", dir.join("traceviz"))
         .env("REPRO_FLIGHT_DIR", dir.join("flightrec"))
         .env("REPRO_JOURNAL_DIR", dir.join("journal"))
-        .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
         .env("REPRO_BACKOFF_MS", "1");
     for (k, v) in envs {
         cmd.env(k, v);

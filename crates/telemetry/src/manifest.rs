@@ -28,6 +28,10 @@ pub fn per_sec(count: u64, wall_ns: u64) -> f64 {
 pub struct RunRecord {
     /// Benchmark label (`perl`, `gcc`, …).
     pub label: String,
+    /// Which model walked the trace: `functional` (the prediction
+    /// harness alone) or `timing` (the out-of-order machine model), so a
+    /// timing walk and a functional walk of one config stay distinct.
+    pub mode: String,
     /// Human-readable description of the predictor configuration.
     pub config: String,
     /// Dynamic instructions replayed.
@@ -63,6 +67,7 @@ impl RunRecord {
     fn to_json(&self) -> Json {
         obj([
             ("label", Json::from(self.label.as_str())),
+            ("mode", Json::from(self.mode.as_str())),
             ("config", Json::from(self.config.as_str())),
             ("instructions", Json::from(self.instructions)),
             (
@@ -252,6 +257,7 @@ impl RunManifest {
                         .map(|r| {
                             obj([
                                 ("label", Json::from(r.label.as_str())),
+                                ("mode", Json::from(r.mode.as_str())),
                                 ("config", Json::from(r.config.as_str())),
                                 (
                                     "instr_per_sec",
@@ -267,42 +273,6 @@ impl RunManifest {
                 ),
             ),
         ])
-    }
-
-    /// The trace-store section: cache effectiveness of the on-disk trace
-    /// store, derived from the `trace_store.*` counters the experiment
-    /// runner records. `None` when the invocation never touched the
-    /// store (so older manifests and store-free tools stay byte-stable).
-    fn trace_store_json(metrics: &MetricsSnapshot) -> Option<Json> {
-        let hits = metrics.counter("trace_store.hits");
-        let misses = metrics.counter("trace_store.misses");
-        if hits + misses == 0 {
-            return None;
-        }
-        let decoded = metrics.counter("trace_store.decoded_instructions");
-        let decode_ns = metrics.counter("trace_store.decode_ns");
-        Some(obj([
-            ("hits", Json::from(hits)),
-            ("misses", Json::from(misses)),
-            (
-                "records",
-                Json::from(metrics.counter("trace_store.records")),
-            ),
-            (
-                "bytes_written",
-                Json::from(metrics.counter("trace_store.bytes_written")),
-            ),
-            (
-                "bytes_read",
-                Json::from(metrics.counter("trace_store.bytes_read")),
-            ),
-            ("decoded_instructions", Json::from(decoded)),
-            ("decode_ns", Json::from(decode_ns)),
-            (
-                "decode_instr_per_sec",
-                Json::from(per_sec(decoded, decode_ns)),
-            ),
-        ]))
     }
 
     /// The phase-sampling section: how much of the campaign was
@@ -384,9 +354,6 @@ impl RunManifest {
         if !self.trace_id.is_empty() {
             fields.insert("trace_id".to_string(), Json::from(self.trace_id.as_str()));
         }
-        if let Some(store) = Self::trace_store_json(metrics) {
-            fields.insert("trace_store".to_string(), store);
-        }
         if let Some(sampling) = Self::sampling_json(metrics) {
             fields.insert("sampling".to_string(), sampling);
         }
@@ -427,6 +394,7 @@ mod tests {
         manifest.instruction_budget = 100_000;
 
         let mut run = RunRecord::new("perl", "target-cache 512-entry tagless");
+        run.mode = "timing".to_string();
         run.instructions = 100_000;
         run.count("tc.lookups", 750);
         run.count("tc.hits", 500);
@@ -453,6 +421,16 @@ mod tests {
         let runs = v.get("runs").unwrap().as_arr().unwrap();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].get("label").unwrap().as_str(), Some("perl"));
+        assert_eq!(runs[0].get("mode").unwrap().as_str(), Some("timing"));
+        assert_eq!(
+            runs[0].get("config").unwrap().as_str(),
+            Some("target-cache 512-entry tagless")
+        );
+        let perf_runs = v.get("perf").unwrap().get("runs").unwrap();
+        assert_eq!(
+            perf_runs.as_arr().unwrap()[0].get("mode").unwrap().as_str(),
+            Some("timing")
+        );
         let counters = runs[0].get("counters").unwrap();
         assert_eq!(counters.get("tc.lookups").unwrap().as_u64(), Some(750));
         // The reconciliation invariant consumers rely on.
@@ -558,39 +536,6 @@ mod tests {
             Some(100_000)
         );
         // And the whole document still parses strictly.
-        assert!(parse(&v.to_string()).is_ok());
-    }
-
-    #[test]
-    fn trace_store_section_appears_only_when_the_store_was_touched() {
-        let m = RunManifest::new("table4");
-        let spans = SpanRegistry::new();
-
-        // No trace_store.* counters → no section at all.
-        let registry = MetricsRegistry::new();
-        let v = m.to_json(&spans, &registry.snapshot());
-        assert!(v.get("trace_store").is_none());
-
-        // Hits and misses recorded → section with derived decode rate.
-        let registry = MetricsRegistry::new();
-        registry.counter("trace_store.hits").add(7);
-        registry.counter("trace_store.misses").add(1);
-        registry.counter("trace_store.records").add(1);
-        registry.counter("trace_store.bytes_written").add(1024);
-        registry.counter("trace_store.bytes_read").add(7 * 1024);
-        registry
-            .counter("trace_store.decoded_instructions")
-            .add(700_000);
-        registry.counter("trace_store.decode_ns").add(350_000_000);
-        let v = m.to_json(&spans, &registry.snapshot());
-        let store = v.get("trace_store").expect("section present");
-        assert_eq!(store.get("hits").unwrap().as_u64(), Some(7));
-        assert_eq!(store.get("misses").unwrap().as_u64(), Some(1));
-        assert_eq!(store.get("records").unwrap().as_u64(), Some(1));
-        assert_eq!(store.get("bytes_read").unwrap().as_u64(), Some(7168));
-        let rate = store.get("decode_instr_per_sec").unwrap().as_f64().unwrap();
-        assert!((rate - 2_000_000.0).abs() < 1.0, "{rate}");
-        // And the embedded document still parses strictly.
         assert!(parse(&v.to_string()).is_ok());
     }
 

@@ -14,7 +14,7 @@
 use sim_isa::TraceStats;
 use sim_trace::bbv::BbvSection;
 use sim_trace::{
-    encode_to_vec, FingerprintBuilder, StatsSummary, TraceError, TraceReader, BBV_MAGIC,
+    encode_to_vec, FingerprintBuilder, StatsSummary, TraceError, TraceMeta, TraceReader, BBV_MAGIC,
     CHUNK_RECORDS,
 };
 use std::fs::File;
@@ -29,7 +29,8 @@ usage: trace-pack <COMMAND> [ARGS]
 commands:
   record --bench <name> [--budget N] [--seed N] [--scale LABEL] --out <path>
         generate a workload trace and write it as .strc
-        (--out may be a directory: the store file name is used)
+        (--out may be a directory, existing or ending in '/': the
+        file is named <bench>-<scale>-b<budget>-s<seed>-g<generator>.strc)
   info <file>... [--chunks]
         print each file's header, size, and bytes/instruction;
         --chunks adds a per-chunk table (record count, payload bytes,
@@ -128,20 +129,25 @@ fn record(args: &[String]) {
         .map(|v| parse_number("--seed", &v))
         .unwrap_or(workload.seed());
     let scale = flag_value(args, "--scale").unwrap_or_else(|| "adhoc".to_string());
-    let key = sim_trace::TraceKey {
-        benchmark: bench.name().to_string(),
-        scale,
-        budget,
-        seed,
-        generator_version: sim_workloads::GENERATOR_VERSION,
-    };
+    let generator_version = sim_workloads::GENERATOR_VERSION;
     let path = {
         let p = PathBuf::from(&out);
-        if p.is_dir() {
-            p.join(key.file_name())
+        if p.is_dir() || out.ends_with('/') {
+            // Every provenance field is in the name, so distinct
+            // recordings never collide in one directory.
+            p.join(format!(
+                "{}-{scale}-b{budget}-s{seed:016x}-g{generator_version}.strc",
+                bench.name()
+            ))
         } else {
             p
         }
+    };
+    let meta = TraceMeta {
+        benchmark: bench.name().to_string(),
+        scale,
+        seed,
+        generator_version,
     };
     let started = Instant::now();
     let trace = workload.generate_seeded(seed, budget as usize);
@@ -159,11 +165,10 @@ fn record(args: &[String]) {
         exit(2);
     });
     let started = Instant::now();
-    let summary =
-        sim_trace::write_trace(BufWriter::new(file), key.meta(), &trace).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            exit(2);
-        });
+    let summary = sim_trace::write_trace(BufWriter::new(file), meta, &trace).unwrap_or_else(|e| {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        exit(2);
+    });
     let encode_ns = started.elapsed().as_nanos() as u64;
     println!(
         "recorded {}: {} instructions, {} bytes ({:.2} bytes/instr, {} chunks)",

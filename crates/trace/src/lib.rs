@@ -1,23 +1,21 @@
-//! `sim-trace`: the compact on-disk trace format (`.strc`), streaming
-//! reader/writer, and the content-addressed trace store.
+//! `sim-trace`: the compact on-disk trace format (`.strc`) and its
+//! streaming reader/writer.
 //!
-//! The reproduction's workloads are deterministic generators, so every
-//! run used to pay full price regenerating identical traces. This crate
-//! turns a trace into an artifact: [`TraceWriter`] packs `DynInstr`
-//! records into delta-encoded, varint-packed, checksummed chunks behind
-//! a self-describing header; [`TraceReader`] streams them back as an
-//! `Iterator<Item = Result<DynInstr, TraceError>>`; and [`TraceStore`]
-//! caches one file per `(benchmark, scale, seed, generator-version)`
-//! key so the whole campaign records each trace once and replays it
-//! everywhere else. The `trace-pack` binary inspects, validates, and
-//! micro-benchmarks `.strc` files.
+//! Campaigns generate their traces in process (the workloads are
+//! deterministic generators, and generation is faster than decoding);
+//! `.strc` is the interchange and audit format for traces that leave
+//! the process. [`TraceWriter`] packs `DynInstr` records into
+//! delta-encoded, varint-packed, checksummed chunks behind a
+//! self-describing header, with an optional BBV side-section of
+//! per-chunk fingerprints; [`TraceReader`] streams them back as an
+//! `Iterator<Item = Result<DynInstr, TraceError>>`. The `trace-pack`
+//! binary records, inspects, validates, and micro-benchmarks `.strc`
+//! files.
 //!
 //! Corruption is loud by construction: every chunk carries its length
 //! and an FNV-1a-64 checksum, the header checksums itself, and a clean
 //! end-of-file with fewer records than the header declares is a typed
-//! [`TraceError::Truncated`] — which is how injected
-//! `REPRO_FAULTS=truncate-store:…` faults surface as retryable errors
-//! instead of silently degraded results.
+//! [`TraceError::Truncated`] rather than a silently shorter trace.
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@
 pub mod bbv;
 pub mod format;
 pub mod reader;
-pub mod store;
 pub mod varint;
 pub mod writer;
 
@@ -55,5 +52,4 @@ pub use format::{
     StatsSummary, TraceError, TraceHeader, TraceMeta, CHUNK_RECORDS, FORMAT_VERSION, MAGIC,
 };
 pub use reader::{read_trace_file, read_trace_file_with_bbv, TraceReader};
-pub use store::{StoreError, StoreMode, StoreOutcome, TraceKey, TraceStore};
 pub use writer::{encode_to_vec, write_trace, TraceWriter, WriteSummary};

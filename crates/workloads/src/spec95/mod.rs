@@ -32,11 +32,11 @@ use crate::program::Program;
 use sim_isa::VecTrace;
 use std::fmt;
 
-/// Version of the workload generators, part of the trace store's cache
-/// key. Bump this whenever any change — to a benchmark model, the
-/// executor, or the vendored RNG — alters the instructions a
-/// `(benchmark, seed, budget)` triple generates, so stale cached traces
-/// become unreachable instead of silently wrong.
+/// Version of the workload generators, recorded in every `.strc` header
+/// and file name. Bump this whenever any change — to a benchmark model,
+/// the executor, or the vendored RNG — alters the instructions a
+/// `(benchmark, seed, budget)` triple generates, so a trace recorded by
+/// an older generator is identifiable instead of silently wrong.
 pub const GENERATOR_VERSION: u16 = 1;
 
 /// A benchmark model: a program plus the seed and default trace length that
