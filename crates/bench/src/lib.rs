@@ -2,10 +2,10 @@
 //!
 //! The benches live in `benches/`:
 //!
-//! * `tables` — one bench per paper table (1, 2, 4, 5, 6, 7, 8, 9): each
-//!   measures the end-to-end regeneration of that table at quick scale and,
-//!   as a side effect, validates that the experiment still runs.
-//! * `figures` — Figures 1–8 and 12–13, plus the headline.
+//! * `experiments` — one bench per experiment in the registry (every
+//!   paper table and figure, the headline, the extensions): each measures
+//!   the sequential computation of that experiment's cells at quick scale
+//!   and, as a side effect, validates that the experiment still runs.
 //! * `ablations` — the design-choice ablations DESIGN.md calls out:
 //!   index-hash cost, tagless vs tagged lookup cost, and history-source
 //!   maintenance cost.

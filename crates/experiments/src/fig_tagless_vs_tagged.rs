@@ -13,38 +13,15 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, Scale};
+use crate::runner::{exec_reduction_with_base, timing, trace, Scale, ISCA97};
 use crate::telemetry::TelemetryCtx;
+use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
 /// Associativities swept for the tagged series (the figures use 1..=256).
 pub const ASSOCS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
-
-/// One benchmark's two series.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// The 512-entry tagless cache's execution-time reduction.
-    pub tagless: f64,
-    /// The 256-entry tagged cache's reduction at each associativity, in
-    /// [`ASSOCS`] order.
-    pub tagged: Vec<f64>,
-}
-
-impl Series {
-    /// The smallest associativity at which the tagged cache matches or
-    /// beats the tagless one (the figures' crossover), if any.
-    pub fn crossover_assoc(&self) -> Option<usize> {
-        ASSOCS
-            .iter()
-            .zip(&self.tagged)
-            .find(|(_, &red)| red >= self.tagless)
-            .map(|(&a, _)| a)
-    }
-}
 
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
@@ -55,8 +32,9 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// the tagged reduction per associativity (`tagged.<assoc>`).
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
-    let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let t = trace(ctx, benchmark.workload(), scale);
+    let baseline = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+    let base = timing(ctx, &t, &baseline, ISCA97);
     let mut d = CellData::new();
     d.set(
         "tagless",
@@ -69,52 +47,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         );
     }
     d
-}
-
-/// Runs the comparison for the focus benchmarks.
-pub fn run(scale: Scale) -> Vec<Series> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs the series from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Series> {
-    Benchmark::FOCUS
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("fig_tagless_vs_tagged cell for {benchmark} missing or failed")
-            });
-            Series {
-                benchmark,
-                tagless: d.req("tagless"),
-                tagged: ASSOCS
-                    .iter()
-                    .map(|a| d.req(&format!("tagged.{a}")))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Converts the series back to cells.
-pub fn cells_from_rows(series: &[Series]) -> CellSet {
-    let mut set = CellSet::new();
-    for s in series {
-        let mut d = CellData::new();
-        d.set("tagless", s.tagless);
-        for (&assoc, &red) in ASSOCS.iter().zip(&s.tagged) {
-            d.set(format!("tagged.{assoc}"), red);
-        }
-        set.insert(s.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders both figures' series.
-pub fn render(series: &[Series]) -> String {
-    render_cells(&cells_from_rows(series))
 }
 
 /// Renders a (possibly partial) cell set as the figures' series.
@@ -158,34 +90,30 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick_cells;
 
     #[test]
     fn tagged_catches_tagless_as_associativity_grows() {
-        let series = run(Scale::Quick);
-        for s in &series {
+        let cells = quick_cells("fig_tagless_vs_tagged");
+        for &bench in &Benchmark::FOCUS {
+            let d = cells.data(bench.name()).unwrap();
+            let tagless = d.req("tagless");
+            let tagged = |assoc: usize| d.req(&format!("tagged.{assoc}"));
             // Both organizations beat the baseline.
-            assert!(
-                s.tagless > 0.0,
-                "{}: tagless reduction {}",
-                s.benchmark,
-                s.tagless
-            );
+            assert!(tagless > 0.0, "{bench}: tagless reduction {tagless}");
             // The tagged series is (weakly) increasing from direct-mapped
             // to fully associative.
-            let first = s.tagged[0];
-            let last = *s.tagged.last().unwrap();
+            let first = tagged(ASSOCS[0]);
+            let last = tagged(ASSOCS[ASSOCS.len() - 1]);
             assert!(
                 last >= first - 0.005,
-                "{}: tagged should not degrade with associativity ({first} -> {last})",
-                s.benchmark
+                "{bench}: tagged should not degrade with associativity ({first} -> {last})"
             );
             // At full associativity the tagged cache is at least close to
             // the tagless one (the paper's crossover claim).
             assert!(
-                last >= s.tagless * 0.8,
-                "{}: fully-associative tagged ({last}) should approach tagless ({})",
-                s.benchmark,
-                s.tagless
+                last >= tagless * 0.8,
+                "{bench}: fully-associative tagged ({last}) should approach tagless ({tagless})"
             );
         }
     }

@@ -15,29 +15,16 @@ use sim_workloads::Benchmark;
 /// The paper's histogram cap: the last bucket is "≥ 30".
 pub const CAP: usize = 30;
 
-/// One benchmark's histograms.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Static sites with exactly k distinct targets (slot k-1; last slot is
-    /// the ≥CAP bucket).
-    pub static_hist: Vec<u64>,
-    /// Same, weighted by dynamic executions.
-    pub dynamic_hist: Vec<u64>,
-}
-
-impl Row {
-    /// Fraction of *dynamic* indirect jumps executed at sites with at
-    /// least `k` distinct targets.
-    pub fn dynamic_fraction_at_least(&self, k: usize) -> f64 {
-        let total: u64 = self.dynamic_hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let ge: u64 = self.dynamic_hist[k.saturating_sub(1)..].iter().sum();
-        ge as f64 / total as f64
+/// Fraction of *dynamic* indirect jumps executed at sites with at least
+/// `k` distinct targets, from a dynamic-weighted histogram (slot k-1;
+/// last slot is the ≥CAP bucket).
+pub fn dynamic_fraction_at_least(dynamic_hist: &[u64], k: usize) -> f64 {
+    let total: u64 = dynamic_hist.iter().sum();
+    if total == 0 {
+        return 0.0;
     }
+    let ge: u64 = dynamic_hist[k.saturating_sub(1)..].iter().sum();
+    ge as f64 / total as f64
 }
 
 /// The benchmark labels this experiment enumerates cells over.
@@ -49,7 +36,7 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// (`s<k>` static, `d<k>` dynamic, k 1-based; absent slot = zero).
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
-    let stats = trace(ctx, benchmark, scale).stats();
+    let stats = trace(ctx, benchmark.workload(), scale).stats();
     let mut d = CellData::new();
     for (prefix, hist) in [
         ("s", stats.targets_per_jump_histogram(CAP)),
@@ -64,64 +51,25 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the characterization for every benchmark.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
+/// A cell's histogram, `s` static or `d` dynamic, densely: slot k-1
+/// holds the count for k targets.
 fn hist_from_cell(d: &CellData, prefix: &str) -> Vec<u64> {
     (1..=CAP)
         .map(|k| d.get(&format!("{prefix}{k}")).unwrap_or(0.0) as u64)
         .collect()
 }
 
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("fig_targets cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                static_hist: hist_from_cell(d, "s"),
-                dynamic_hist: hist_from_cell(d, "d"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        for (prefix, hist) in [("s", &r.static_hist), ("d", &r.dynamic_hist)] {
-            for (k, &n) in hist.iter().enumerate() {
-                if n > 0 {
-                    d.set(format!("{prefix}{}", k + 1), n as f64);
-                }
-            }
-        }
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders one benchmark's per-k histogram as ASCII bars, the shape the
-/// paper's figures plot (percentage of dynamic indirect jumps whose site
-/// has exactly k distinct targets).
-pub fn render_figure(row: &Row) -> String {
-    let total: u64 = row.dynamic_hist.iter().sum();
-    let mut out = format!("Figure: {} — targets per indirect jump\n", row.benchmark);
+/// Renders one benchmark's per-k dynamic histogram as ASCII bars, the
+/// shape the paper's figures plot (percentage of dynamic indirect jumps
+/// whose site has exactly k distinct targets).
+pub fn render_figure(benchmark: Benchmark, dynamic_hist: &[u64]) -> String {
+    let total: u64 = dynamic_hist.iter().sum();
+    let mut out = format!("Figure: {benchmark} — targets per indirect jump\n");
     if total == 0 {
         out.push_str("  (no indirect jumps)\n");
         return out;
     }
-    for (k, &n) in row.dynamic_hist.iter().enumerate() {
+    for (k, &n) in dynamic_hist.iter().enumerate() {
         if n == 0 {
             continue;
         }
@@ -137,12 +85,6 @@ pub fn render_figure(row: &Row) -> String {
     out
 }
 
-/// Renders the histograms (dynamic-weighted, the prediction-relevant view,
-/// plus the static site counts).
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set: failed benchmarks get `ERR`
 /// table slots and an explicit marker in place of their figure.
 pub fn render_cells(cells: &CellSet) -> String {
@@ -154,27 +96,21 @@ pub fn render_cells(cells: &CellSet) -> String {
         "dyn % 5-15".into(),
         "dyn % >=16".into(),
     ]);
-    let row_for = |b: Benchmark| {
-        cells.data(b.name()).map(|d| Row {
-            benchmark: b,
-            static_hist: hist_from_cell(d, "s"),
-            dynamic_hist: hist_from_cell(d, "d"),
-        })
-    };
     for &b in &Benchmark::ALL {
-        match row_for(b) {
-            Some(r) => {
-                let total: u64 = r.dynamic_hist.iter().sum();
+        match cells.data(b.name()) {
+            Some(d) => {
+                let dynamic_hist = hist_from_cell(d, "d");
+                let total: u64 = dynamic_hist.iter().sum();
                 let frac = |lo: usize, hi: usize| {
                     if total == 0 {
                         0.0
                     } else {
-                        r.dynamic_hist[lo..hi].iter().sum::<u64>() as f64 / total as f64
+                        dynamic_hist[lo..hi].iter().sum::<u64>() as f64 / total as f64
                     }
                 };
                 table.row(vec![
                     b.name().into(),
-                    r.static_hist.iter().sum::<u64>().to_string(),
+                    hist_from_cell(d, "s").iter().sum::<u64>().to_string(),
                     pct(frac(0, 1)),
                     pct(frac(1, 4)),
                     pct(frac(4, 15)),
@@ -202,8 +138,8 @@ pub fn render_cells(cells: &CellSet) -> String {
     );
     for &b in &Benchmark::ALL {
         out.push('\n');
-        match row_for(b) {
-            Some(r) => out.push_str(&render_figure(&r)),
+        match cells.data(b.name()) {
+            Some(d) => out.push_str(&render_figure(b, &hist_from_cell(d, "d"))),
             None => out.push_str(&format!(
                 "Figure: {b} — {}\n",
                 crate::jobs::err_marker(cells.failure(b.name()).unwrap_or("cell missing"))
@@ -216,15 +152,18 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick_cells;
 
     #[test]
     fn easy_benchmarks_are_dominated_by_monomorphic_jumps() {
-        let rows = run(Scale::Quick);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick_cells("fig_targets");
+        let fraction_at_least_5 = |b: Benchmark| {
+            dynamic_fraction_at_least(&hist_from_cell(cells.data(b.name()).unwrap(), "d"), 5)
+        };
         // perl and gcc: most dynamic indirect jumps run at polymorphic
         // sites (Figures 2 and 6 show wide distributions).
         for hard in [Benchmark::Perl, Benchmark::Gcc] {
-            let f = get(hard).dynamic_fraction_at_least(5);
+            let f = fraction_at_least_5(hard);
             assert!(
                 f > 0.5,
                 "{hard}: only {f} of dynamic jumps at >=5-target sites"
@@ -232,16 +171,17 @@ mod tests {
         }
         // compress and ijpeg: narrow distributions.
         for easy in [Benchmark::Compress, Benchmark::Ijpeg] {
-            let f = get(easy).dynamic_fraction_at_least(5);
+            let f = fraction_at_least_5(easy);
             assert!(f < 0.5, "{easy}: {f} of dynamic jumps at >=5-target sites");
         }
     }
 
     #[test]
     fn figure_bars_sum_to_one() {
-        for r in run(Scale::Quick) {
-            let fig = render_figure(&r);
-            assert!(fig.contains(r.benchmark.name()));
+        let cells = quick_cells("fig_targets");
+        for b in Benchmark::ALL {
+            let fig = render_figure(b, &hist_from_cell(cells.data(b.name()).unwrap(), "d"));
+            assert!(fig.contains(b.name()));
             // Every printed percentage is a share of the total; the bars
             // for a benchmark with jumps must mention at least one row.
             assert!(fig.contains('%'), "{fig}");
@@ -250,10 +190,13 @@ mod tests {
 
     #[test]
     fn histogram_mass_is_consistent() {
-        for r in run(Scale::Quick) {
-            assert_eq!(r.static_hist.len(), CAP);
-            assert_eq!(r.dynamic_hist.len(), CAP);
-            assert!(r.static_hist.iter().sum::<u64>() > 0, "{}", r.benchmark);
+        let cells = quick_cells("fig_targets");
+        for b in Benchmark::ALL {
+            let d = cells.data(b.name()).unwrap();
+            let (static_hist, dynamic_hist) = (hist_from_cell(d, "s"), hist_from_cell(d, "d"));
+            assert_eq!(static_hist.len(), CAP);
+            assert_eq!(dynamic_hist.len(), CAP);
+            assert!(static_hist.iter().sum::<u64>() > 0, "{b}");
         }
     }
 }

@@ -72,8 +72,8 @@ impl CellData {
     }
 
     /// The value of `key`, panicking with a diagnostic if absent — used
-    /// by row reconstruction, where the producing cell and the consuming
-    /// table are compiled from the same module and a miss is a bug.
+    /// where the producing cell and the consuming renderer are compiled
+    /// from the same module and a miss is a bug.
     pub fn req(&self, key: &str) -> f64 {
         self.get(key)
             .unwrap_or_else(|| panic!("cell data missing key {key:?}"))
@@ -135,17 +135,6 @@ impl CellSet {
     /// An empty set.
     pub fn new() -> CellSet {
         CellSet::default()
-    }
-
-    /// Computes every cell sequentially — the non-fault-tolerant path the
-    /// library `run(scale)` entry points use.
-    pub fn compute(labels: &[&str], mut cell: impl FnMut(&str) -> CellData) -> CellSet {
-        let mut set = CellSet::new();
-        for &label in labels {
-            let data = cell(label);
-            set.insert(label, Ok(data));
-        }
-        set
     }
 
     /// Records one cell's outcome.

@@ -7,7 +7,9 @@
 //! module: `labels` enumerates the benchmark cells, `cell` computes one
 //! of them, and `render` turns a (possibly partial) [`CellSet`] back
 //! into the experiment's table or figure, with `ERR(reason)` markers in
-//! any failed slot.
+//! any failed slot. A [`CellSet`] is the only form an experiment's
+//! results take: the campaign pool fills one cell by cell, and
+//! [`ExperimentDef::compute`] fills one sequentially.
 
 use super::{CellData, CellSet};
 use crate::runner::Scale;
@@ -30,10 +32,25 @@ pub struct ExperimentDef {
     pub render: fn(&CellSet) -> String,
 }
 
-/// Adapts the scale-less, simulation-free cost model to the uniform
-/// cell signature.
-fn costs_cell(_ctx: &TelemetryCtx, label: &str, _scale: Scale) -> CellData {
-    crate::costs::cell(label)
+impl ExperimentDef {
+    /// Computes every cell sequentially on the calling thread, without
+    /// the campaign pool's panic isolation, retries or journal.
+    pub fn compute(&self, ctx: &TelemetryCtx, scale: Scale) -> CellSet {
+        let mut set = CellSet::new();
+        for label in (self.labels)() {
+            set.insert(label, Ok((self.cell)(ctx, label, scale)));
+        }
+        set
+    }
+}
+
+/// Computes the registered experiment `name` at quick scale with
+/// telemetry off, for the experiment modules' tests.
+#[cfg(test)]
+pub(crate) fn quick_cells(name: &str) -> CellSet {
+    find(name)
+        .unwrap_or_else(|| panic!("no experiment named {name:?}"))
+        .compute(&TelemetryCtx::off(), Scale::Quick)
 }
 
 /// Every experiment, in `repro_all`'s print order.
@@ -142,7 +159,7 @@ pub fn all() -> Vec<ExperimentDef> {
             name: "costs",
             title: "Hardware cost model",
             labels: costs::cell_labels,
-            cell: costs_cell,
+            cell: costs::cell,
             render: costs::render_cells,
         },
         ExperimentDef {
@@ -229,14 +246,7 @@ mod tests {
         // One real cell end-to-end for a cheap experiment: compute, wrap,
         // render — the value must appear.
         let def = find("costs").unwrap();
-        let mut cells = CellSet::new();
-        for label in (def.labels)() {
-            cells.insert(
-                label,
-                Ok((def.cell)(&TelemetryCtx::off(), label, Scale::Quick)),
-            );
-        }
-        let out = (def.render)(&cells);
+        let out = (def.render)(&quick_cells("costs"));
         assert!(out.contains("tagless 512"), "{out}");
         assert!(!out.contains("ERR("), "{out}");
     }

@@ -3,17 +3,20 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation section.
 //!
-//! Each experiment module exposes a `run(scale)` function returning
-//! structured rows plus a `render` function producing the text table, and a
-//! binary of the same name (`cargo run --release --bin table1`) that prints
-//! it. `repro_all` runs the lot.
+//! Every experiment decomposes into `(experiment × benchmark)` **cells**.
+//! Each experiment module exposes `cell_labels` (the benchmarks it runs
+//! over), `cell` (one benchmark's results as named scalars, a
+//! [`jobs::CellData`]) and `render_cells` (the text table from a possibly
+//! partial [`jobs::CellSet`]), and a binary of the same name
+//! (`cargo run --release --bin table1`) prints it. `repro_all` runs the
+//! lot. Cells are the only form an experiment's results take.
 //!
-//! Under the hood every experiment decomposes into `(experiment ×
-//! benchmark)` **cells** (`cell` / `render_cells` in each module), which
-//! the fault-tolerant [`jobs`] runner executes with panic isolation,
-//! per-cell deadlines, bounded retry, a crash-safe resume journal, and
-//! deterministic fault injection (`REPRO_FAULTS`); `run`/`render` are the
-//! sequential wrappers over the same cell functions.
+//! The [`jobs::registry`] lists every experiment. The fault-tolerant
+//! [`jobs`] runner executes their cells with panic isolation, per-cell
+//! deadlines, bounded retry, a crash-safe resume journal, and
+//! deterministic fault injection (`REPRO_FAULTS`);
+//! [`jobs::ExperimentDef::compute`] is the sequential path over the same
+//! cell functions, for tests and benches.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|

@@ -79,8 +79,9 @@ pub fn analyze_with(
     cap: usize,
 ) -> LintOutcome {
     if conformance {
-        let budget = scale.budget(bench);
-        let t = trace(ctx, bench, scale);
+        let workload = bench.workload();
+        let budget = scale.budget(&workload);
+        let t = trace(ctx, workload, scale);
         analyze_common(bench, Some((&t, Some(budget))), cap)
     } else {
         analyze_common(bench, None, cap)
@@ -139,11 +140,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
-}
-
 /// Renders a (possibly partial) cell set as the static ground-truth
 /// table, with `ERR(reason)` markers in failed slots.
 pub fn render_cells(cells: &CellSet) -> String {
@@ -187,7 +183,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_cell_is_clean_at_quick_scale() {
-        let cells = run(Scale::Quick);
+        let cells = crate::jobs::registry::quick_cells("lint");
         assert!(cells.all_ok());
         for b in Benchmark::ALL {
             let d = cells.data(b.name()).unwrap();
@@ -196,7 +192,7 @@ mod tests {
             assert!(d.req("static_instructions") > 0.0, "{b}");
             assert_eq!(
                 d.req("traced_instructions") as usize,
-                Scale::Quick.budget(b),
+                Scale::Quick.budget(&b.workload()),
                 "{b}"
             );
         }

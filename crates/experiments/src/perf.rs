@@ -21,7 +21,6 @@
 //! binaries and the `bench` crate's Criterion benches run, so
 //! `cargo bench` and `repro-bench` measure the same code paths.
 
-use crate::jobs::CellSet;
 use crate::runner::{self, Scale};
 use crate::telemetry::{self as hub, TelemetryCtx};
 use sim_telemetry::json::{obj, parse, Json};
@@ -107,7 +106,7 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     };
     let mut scenarios = Vec::new();
     for bench in Benchmark::ALL {
-        let budget = scale.budget(bench);
+        let budget = scale.budget(&bench.workload());
         let ctx = ctx.clone();
         let claim = claim.clone();
         scenarios.push(Scenario::new(format!("trace-gen/{bench}"), move || {
@@ -118,7 +117,7 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     }
     let traces: BTreeMap<&'static str, Rc<sim_isa::VecTrace>> = Benchmark::ALL
         .iter()
-        .map(|&b| (b.name(), Rc::new(runner::trace(ctx, b, scale))))
+        .map(|&b| (b.name(), Rc::new(runner::trace(ctx, b.workload(), scale))))
         .collect();
     let meta_for = move |bench: Benchmark| sim_trace::TraceMeta {
         benchmark: bench.name().to_string(),
@@ -185,7 +184,8 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         let claim = claim.clone();
         scenarios.push(Scenario::new(format!("timing/{bench}"), move || {
             claim(bench);
-            runner::timing(&ctx, &trace, FrontEndConfig::isca97_baseline()).instructions
+            let machine = hps_uarch::MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+            runner::timing(&ctx, &trace, &machine, runner::ISCA97).instructions
         }));
     }
     scenarios.push(Scenario::new("analysis-static", move || {
@@ -279,11 +279,7 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     scenarios.push(Scenario::new("e2e/table1", move || {
         let def = crate::jobs::registry::find("table1").expect("table1 is registered");
         let _ = hub::take_instructions();
-        let mut cells = CellSet::new();
-        for label in (def.labels)() {
-            cells.insert(label, Ok((def.cell)(&e2e_ctx, label, Scale::Quick)));
-        }
-        let _ = (def.render)(&cells);
+        let _ = (def.render)(&def.compute(&e2e_ctx, Scale::Quick));
         hub::take_instructions()
     }));
     scenarios

@@ -131,7 +131,7 @@ fn run_pass(
         &analysis.image,
         DEFAULT_PATH_DEPTH,
     );
-    let t = trace(ctx, bench, scale);
+    let t = trace(ctx, bench.workload(), scale);
     let stats = t.stats();
     let measured = measure_all(bench, &t);
     report.predictability = Some(check_predictability(
@@ -213,11 +213,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
-}
-
 /// Renders a (possibly partial) cell set as the census × envelope table.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut table = TextTable::new(vec![
@@ -267,7 +262,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_reconciles_clean_at_quick_scale() {
-        let cells = run(Scale::Quick);
+        let cells = crate::jobs::registry::quick_cells("predictability");
         assert!(cells.all_ok());
         for b in Benchmark::ALL {
             let d = cells.data(b.name()).unwrap();
@@ -292,7 +287,7 @@ mod tests {
 
     #[test]
     fn polymorphic_benchmarks_have_wider_census() {
-        let cells = run(Scale::Quick);
+        let cells = crate::jobs::registry::quick_cells("predictability");
         let wide = |n: &str| {
             let d = cells.data(n).unwrap();
             d.req("poly") + d.req("mega")
@@ -311,7 +306,7 @@ mod tests {
         let a = analyze_program(workload.program(), &mut scratch).unwrap();
         let stat =
             StaticPredictability::compute(workload.program(), &a.cfg, &a.image, DEFAULT_PATH_DEPTH);
-        let t = trace(&ctx, bench, Scale::Quick);
+        let t = trace(&ctx, bench.workload(), Scale::Quick);
         let stats = t.stats();
 
         // Clean oracle books reconcile without findings…

@@ -9,7 +9,7 @@ use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{simulate, simulate_instrumented, MachineConfig, SimReport};
 use sim_isa::VecTrace;
-use sim_workloads::Benchmark;
+use sim_workloads::Workload;
 use std::time::Instant;
 use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
 use target_cache::TargetCacheConfig;
@@ -27,9 +27,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// The instruction budget this scale implies for a benchmark.
-    pub fn budget(self, bench: Benchmark) -> usize {
-        let full = bench.workload().default_budget();
+    /// The instruction budget this scale implies for a workload.
+    pub fn budget(self, workload: &Workload) -> usize {
+        let full = workload.default_budget();
         match self {
             Scale::Quick => full.min(100_000),
             Scale::Standard => full.min(400_000),
@@ -161,32 +161,33 @@ fn config_desc(config: &FrontEndConfig) -> String {
     }
 }
 
-/// Produces the canonical trace of a benchmark at the given scale by
-/// running its seeded generator in process. This is the only way a
-/// campaign obtains a trace: the workloads are deterministic, and
-/// regenerating one is faster than decoding it from `.strc` (which
-/// stays an interchange and audit format; see `trace-pack record`).
+/// Produces the canonical trace of a workload (a SPECint95 benchmark's
+/// or an OO program's) at the given scale by running its seeded
+/// generator in process. This is the only way a campaign obtains a
+/// trace: the workloads are deterministic, and regenerating one is
+/// faster than decoding it from `.strc` (which stays an interchange and
+/// audit format; see `trace-pack record`).
 ///
-/// With telemetry active this also declares `bench` as the benchmark
-/// subsequent runs are attributed to (the table binaries are sequential:
-/// they generate one trace and run every configuration on it before
-/// moving to the next benchmark) and times generation under the
+/// With telemetry active this also declares the workload as the
+/// benchmark subsequent runs are attributed to (the table binaries are
+/// sequential: they generate one trace and run every configuration on it
+/// before moving to the next benchmark) and times generation under the
 /// `workload-gen` span.
 ///
 /// When an installed fault plan (see [`crate::jobs::faults`]) truncates
 /// this benchmark, the generated trace is proportionally shorter — the
 /// downstream statistics all normalize by actual executed counts, so a
 /// truncated trace degrades resolution, not correctness.
-pub fn trace(ctx: &TelemetryCtx, bench: Benchmark, scale: Scale) -> VecTrace {
-    let budget = scale.budget(bench);
+pub fn trace(ctx: &TelemetryCtx, workload: Workload, scale: Scale) -> VecTrace {
+    let budget = scale.budget(&workload);
     let hub = ctx.hub();
     if let Some(hub) = hub {
-        hub.set_benchmark(bench.name());
+        hub.set_benchmark(workload.name());
     }
     let _g = hub.map(|h| h.spans().span("workload-gen"));
-    match crate::jobs::faults::active_truncation(bench.name()) {
-        Some(fraction) => bench.workload().generate_truncated(budget, fraction),
-        None => bench.workload().generate(budget),
+    match crate::jobs::faults::active_truncation(workload.name()) {
+        Some(fraction) => workload.generate_truncated(budget, fraction),
+        None => workload.generate(budget),
     }
 }
 
@@ -209,6 +210,7 @@ pub fn functional(
         }
         hub.finish_run(
             "functional",
+            ISCA97,
             &config_desc(h.config()),
             trace.len() as u64,
             h.stats(),
@@ -222,18 +224,30 @@ pub fn functional(
     h.stats().clone()
 }
 
-/// Runs the timing model over a trace.
-pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) -> SimReport {
-    let machine = MachineConfig::isca97(frontend);
+/// The manifest name of the paper's HPS machine,
+/// [`MachineConfig::isca97`]: every timing walk outside the
+/// machine-scaling study runs on it. Functional walks, which model only
+/// the front end, are recorded under it too.
+pub const ISCA97: &str = "isca97";
+
+/// Runs the timing model over a trace on `machine`, recorded in the
+/// manifest under the short name `machine_name`.
+pub fn timing(
+    ctx: &TelemetryCtx,
+    trace: &VecTrace,
+    machine: &MachineConfig,
+    machine_name: &str,
+) -> SimReport {
     let report = if let Some(hub) = ctx.hub() {
         let started = Instant::now();
         let report = {
             let _g = hub.spans().span("uarch-sim");
-            simulate_instrumented(trace, &machine, Some(hub.harness_telemetry()))
+            simulate_instrumented(trace, machine, Some(hub.harness_telemetry()))
         };
         hub.finish_run(
             "timing",
-            &config_desc(&frontend),
+            machine_name,
+            &config_desc(&machine.frontend),
             report.instructions,
             &report.branch_stats,
             None,
@@ -242,18 +256,10 @@ pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) ->
         );
         report
     } else {
-        simulate(trace, &machine)
+        simulate(trace, machine)
     };
     hub::add_instructions(report.instructions);
     report
-}
-
-/// The paper's headline derived metric: execution-time reduction of a
-/// target-cache configuration over the BTB-only baseline, on one trace.
-pub fn exec_time_reduction(ctx: &TelemetryCtx, trace: &VecTrace, tc: TargetCacheConfig) -> f64 {
-    let base = timing(ctx, trace, FrontEndConfig::isca97_baseline());
-    let with_tc = timing(ctx, trace, FrontEndConfig::isca97_with(tc));
-    with_tc.exec_time_reduction_vs(&base)
 }
 
 /// Both runs at once, when the caller wants the reports too.
@@ -262,21 +268,24 @@ pub fn baseline_and_tc(
     trace: &VecTrace,
     tc: TargetCacheConfig,
 ) -> (SimReport, SimReport) {
+    let run = |frontend| timing(ctx, trace, &MachineConfig::isca97(frontend), ISCA97);
     (
-        timing(ctx, trace, FrontEndConfig::isca97_baseline()),
-        timing(ctx, trace, FrontEndConfig::isca97_with(tc)),
+        run(FrontEndConfig::isca97_baseline()),
+        run(FrontEndConfig::isca97_with(tc)),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_workloads::Benchmark;
 
     #[test]
     fn scale_budgets_are_ordered() {
         for bench in [Benchmark::Perl, Benchmark::Compress] {
-            assert!(Scale::Quick.budget(bench) <= Scale::Standard.budget(bench));
-            assert!(Scale::Standard.budget(bench) <= Scale::Full.budget(bench));
+            let w = bench.workload();
+            assert!(Scale::Quick.budget(&w) <= Scale::Standard.budget(&w));
+            assert!(Scale::Standard.budget(&w) <= Scale::Full.budget(&w));
         }
     }
 
@@ -285,17 +294,19 @@ mod tests {
         // The timing model embeds the same harness, so per-class stats must
         // be identical.
         let ctx = TelemetryCtx::off();
-        let t = trace(&ctx, Benchmark::M88ksim, Scale::Quick);
+        let t = trace(&ctx, Benchmark::M88ksim.workload(), Scale::Quick);
         let f = functional(&ctx, &t, FrontEndConfig::isca97_baseline());
-        let r = timing(&ctx, &t, FrontEndConfig::isca97_baseline());
+        let machine = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+        let r = timing(&ctx, &t, &machine, ISCA97);
         assert_eq!(&f, &r.branch_stats);
     }
 
     #[test]
     fn target_cache_reduces_execution_time_on_perl() {
         let ctx = TelemetryCtx::off();
-        let t = trace(&ctx, Benchmark::Perl, Scale::Quick);
-        let red = exec_time_reduction(&ctx, &t, TargetCacheConfig::isca97_tagless_gshare());
+        let t = trace(&ctx, Benchmark::Perl.workload(), Scale::Quick);
+        let (base, with_tc) = baseline_and_tc(&ctx, &t, TargetCacheConfig::isca97_tagless_gshare());
+        let red = with_tc.exec_time_reduction_vs(&base);
         assert!(red > 0.0, "target cache must speed up perl, got {red}");
     }
 }
@@ -363,5 +374,6 @@ pub fn exec_reduction_with_base(
     base: &SimReport,
     tc: TargetCacheConfig,
 ) -> f64 {
-    timing(ctx, trace, FrontEndConfig::isca97_with(tc)).exec_time_reduction_vs(base)
+    let machine = MachineConfig::isca97(FrontEndConfig::isca97_with(tc));
+    timing(ctx, trace, &machine, ISCA97).exec_time_reduction_vs(base)
 }

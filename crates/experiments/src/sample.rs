@@ -618,7 +618,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
         .into_iter()
         .map(|label| {
             let bench = crate::jobs::benchmark(label);
-            let t = trace(&ctx, bench, scale);
+            let t = trace(&ctx, bench.workload(), scale);
             let map = phase_map(&ctx, &t);
             BenchPlan {
                 label,
@@ -685,14 +685,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
             None => {
                 let rate = rate_from_slices(&slices);
                 sampled_rates.insert(plan.label, (rate, reps.len() as u64, sampled_ij(&slices)));
-                let stats = plan.trace.stats();
-                let mut d = CellData::new();
-                d.set("instructions", stats.instructions() as f64);
-                d.set("branches", stats.branches() as f64);
-                d.set("indirect_jumps", stats.indirect_jumps() as f64);
-                d.set("static_sites", stats.static_indirect_jumps() as f64);
-                d.set("btb_mispred", rate);
-                cells.insert(plan.label, Ok(d));
+                cells.insert(plan.label, Ok(table1::cell_data(&plan.trace.stats(), rate)));
             }
         }
     }
@@ -772,7 +765,7 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// Computes one benchmark's sampled-vs-exact cell.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let bench = crate::jobs::benchmark(label);
-    let t = trace(ctx, bench, scale);
+    let t = trace(ctx, bench.workload(), scale);
     let map = phase_map(ctx, &t);
     let frontend = FrontEndConfig::isca97_baseline();
     let slices = sampled_slices(ctx, &t, &map, WARMUP_RECORDS, frontend);
@@ -796,11 +789,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d.set("abs_err_pp", row.abs_err_pp());
     d.set("rel_err", row.rel_err());
     d
-}
-
-/// Runs the experiment sequentially at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
 }
 
 /// Renders a (possibly partial) cell set as the sampled-vs-exact table.
@@ -857,7 +845,7 @@ mod tests {
         // slice belongs to its own phase, and the exhaustive map
         // expands to the identity plan.
         let ctx = TelemetryCtx::off();
-        let t = trace(&ctx, Benchmark::Gcc, Scale::Standard);
+        let t = trace(&ctx, Benchmark::Gcc.workload(), Scale::Standard);
         let map = phase_map(&ctx, &t);
         let plan = representatives(&map);
         assert_eq!(
@@ -888,7 +876,7 @@ mod tests {
         // every chunk its own phase + full-prefix warm-up must reproduce
         // the exact misprediction rate bit for bit.
         let ctx = TelemetryCtx::off();
-        let t = trace(&ctx, Benchmark::M88ksim, Scale::Quick);
+        let t = trace(&ctx, Benchmark::M88ksim.workload(), Scale::Quick);
         let chunks = t.len().div_ceil(CHUNK_RECORDS as usize);
         let map = PhaseMap::exhaustive(chunks);
         let frontend = FrontEndConfig::isca97_baseline();
@@ -903,7 +891,7 @@ mod tests {
         // warm-up)
         // stays within the documented 1 pp bound on the hardest benchmark.
         let ctx = TelemetryCtx::off();
-        let t = trace(&ctx, Benchmark::Perl, Scale::Quick);
+        let t = trace(&ctx, Benchmark::Perl.workload(), Scale::Quick);
         let map = phase_map(&ctx, &t);
         assert!(!map.phases.is_empty());
         let frontend = FrontEndConfig::isca97_baseline();

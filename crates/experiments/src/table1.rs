@@ -10,25 +10,9 @@ use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
 use crate::runner::{functional, trace, Scale};
 use crate::telemetry::TelemetryCtx;
+use sim_isa::TraceStats;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
-
-/// One row of Table 1.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Dynamic instructions simulated.
-    pub instructions: u64,
-    /// Dynamic control instructions.
-    pub branches: u64,
-    /// Dynamic target-cache-eligible indirect jumps.
-    pub indirect_jumps: u64,
-    /// Static indirect-jump sites observed.
-    pub static_sites: usize,
-    /// BTB indirect-jump misprediction rate.
-    pub btb_mispred: f64,
-}
 
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
@@ -38,63 +22,22 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// Computes one benchmark's cell.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
-    let t = trace(ctx, benchmark, scale);
-    let stats = t.stats();
+    let t = trace(ctx, benchmark.workload(), scale);
     let pred = functional(ctx, &t, FrontEndConfig::isca97_baseline());
+    cell_data(&t.stats(), pred.indirect_jump_misprediction_rate())
+}
+
+/// One Table 1 cell from a trace's characterization and a BTB indirect
+/// misprediction rate, however that rate was measured (exactly here,
+/// recombined from phase samples by [`crate::sample`]).
+pub fn cell_data(stats: &TraceStats, btb_mispred: f64) -> CellData {
     let mut d = CellData::new();
     d.set("instructions", stats.instructions() as f64);
     d.set("branches", stats.branches() as f64);
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
     d.set("static_sites", stats.static_indirect_jumps() as f64);
-    d.set("btb_mispred", pred.indirect_jump_misprediction_rate());
+    d.set("btb_mispred", btb_mispred);
     d
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("table1 cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                instructions: d.req("instructions") as u64,
-                branches: d.req("branches") as u64,
-                indirect_jumps: d.req("indirect_jumps") as u64,
-                static_sites: d.req("static_sites") as usize,
-                btb_mispred: d.req("btb_mispred"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells (the renderers' common currency).
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("instructions", r.instructions as f64);
-        d.set("branches", r.branches as f64);
-        d.set("indirect_jumps", r.indirect_jumps as f64);
-        d.set("static_sites", r.static_sites as f64);
-        d.set("btb_mispred", r.btb_mispred);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 1.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 1, with
@@ -130,58 +73,42 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick_cells;
 
     #[test]
     fn table1_shape_matches_paper() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 8);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick_cells("table1");
+        assert!(cells.all_ok());
+        let get = |b: Benchmark, key: &str| cells.data(b.name()).unwrap().req(key);
+        let btb = |b: Benchmark| get(b, "btb_mispred");
 
         // The paper's headline orderings: perl and gcc are the
         // hard-to-predict benchmarks; compress/ijpeg/vortex/xlisp are easy.
-        let perl = get(Benchmark::Perl);
-        let gcc = get(Benchmark::Gcc);
-        assert!(
-            perl.btb_mispred > 0.55,
-            "perl BTB mispred {}",
-            perl.btb_mispred
-        );
-        assert!(
-            gcc.btb_mispred > 0.45,
-            "gcc BTB mispred {}",
-            gcc.btb_mispred
-        );
+        let perl = btb(Benchmark::Perl);
+        let gcc = btb(Benchmark::Gcc);
+        assert!(perl > 0.55, "perl BTB mispred {perl}");
+        assert!(gcc > 0.45, "gcc BTB mispred {gcc}");
         for easy in [
             Benchmark::Compress,
             Benchmark::Ijpeg,
             Benchmark::Vortex,
             Benchmark::Xlisp,
         ] {
-            let r = get(easy);
-            assert!(
-                r.btb_mispred < 0.35,
-                "{} BTB mispred {} should be low",
-                easy,
-                r.btb_mispred
-            );
-            assert!(perl.btb_mispred > r.btb_mispred);
-            assert!(gcc.btb_mispred > r.btb_mispred);
+            let r = btb(easy);
+            assert!(r < 0.35, "{easy} BTB mispred {r} should be low");
+            assert!(perl > r);
+            assert!(gcc > r);
         }
         // m88ksim sits in the middle (paper: 37.3%).
-        let m88k = get(Benchmark::M88ksim);
-        assert!(
-            (0.2..0.55).contains(&m88k.btb_mispred),
-            "m88ksim {}",
-            m88k.btb_mispred
-        );
+        let m88k = btb(Benchmark::M88ksim);
+        assert!((0.2..0.55).contains(&m88k), "m88ksim {m88k}");
         // gcc has by far the most static sites.
-        assert!(gcc.static_sites > perl.static_sites);
+        assert!(get(Benchmark::Gcc, "static_sites") > get(Benchmark::Perl, "static_sites"));
     }
 
     #[test]
     fn render_contains_all_benchmarks() {
-        let rows = run(Scale::Quick);
-        let text = render(&rows);
+        let text = render_cells(&quick_cells("table1"));
         for b in Benchmark::ALL {
             assert!(text.contains(b.name()), "missing {b}");
         }

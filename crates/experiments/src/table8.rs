@@ -11,25 +11,15 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, PathScheme, Scale};
+use crate::runner::{exec_reduction_with_base, timing, trace, PathScheme, Scale, ISCA97};
 use crate::telemetry::TelemetryCtx;
+use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::{Organization, TaggedIndexScheme, TargetCacheConfig};
 
 /// Associativities studied.
 pub const ASSOCS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// One row: a benchmark × associativity slice across the path schemes.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Ways per set.
-    pub assoc: usize,
-    /// Execution-time reduction per scheme, in [`PathScheme::all`] order.
-    pub reductions: Vec<f64>,
-}
 
 /// The cell key for one (associativity × path scheme) slot.
 fn key(assoc: usize, scheme: &PathScheme) -> String {
@@ -45,8 +35,9 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// (associativity × path scheme) combination, keyed `a<assoc>.<scheme>`.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
-    let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let t = trace(ctx, benchmark.workload(), scale);
+    let baseline = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+    let base = timing(ctx, &t, &baseline, ISCA97);
     let mut d = CellData::new();
     for &assoc in &ASSOCS {
         for scheme in PathScheme::all() {
@@ -65,54 +56,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         }
     }
     d
-}
-
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table8 cell for {benchmark} missing or failed"));
-        for &assoc in &ASSOCS {
-            rows.push(Row {
-                benchmark,
-                assoc,
-                reductions: PathScheme::all()
-                    .iter()
-                    .map(|s| d.req(&key(assoc, s)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (scheme, &x) in PathScheme::all().iter().zip(&r.reductions) {
-                d.set(key(r.assoc, scheme), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 8.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 8.
@@ -142,32 +85,33 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick_cells;
+
+    /// Perl's reduction at `assoc` ways under the `scheme`-th entry of
+    /// [`PathScheme::all`].
+    fn perl(cells: &CellSet, assoc: usize, scheme: usize) -> f64 {
+        cells
+            .data(Benchmark::Perl.name())
+            .unwrap()
+            .req(&key(assoc, &PathScheme::all()[scheme]))
+    }
 
     #[test]
     fn perl_prefers_path_history_in_tagged_caches_too() {
-        let rows = run(Scale::Quick);
-        let r = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl && r.assoc == 4)
-            .unwrap();
-        let ind_jmp = r.reductions[3];
+        let cells = quick_cells("table8");
+        let ind_jmp = perl(&cells, 4, 3);
         assert!(
             ind_jmp > 0.02,
             "perl tagged path ind-jmp reduction {ind_jmp}"
         );
         // Path ind-jmp beats call/ret for perl in tagged form as well.
-        assert!(ind_jmp > r.reductions[4]);
+        assert!(ind_jmp > perl(&cells, 4, 4));
     }
 
     #[test]
     fn associativity_helps_or_holds_for_perl_ind_jmp() {
-        let rows = run(Scale::Quick);
-        let get = |assoc: usize| {
-            rows.iter()
-                .find(|r| r.benchmark == Benchmark::Perl && r.assoc == assoc)
-                .unwrap()
-                .reductions[3]
-        };
+        let cells = quick_cells("table8");
+        let get = |assoc: usize| perl(&cells, assoc, 3);
         assert!(
             get(8) >= get(1) - 0.01,
             "8-way {} vs direct {}",

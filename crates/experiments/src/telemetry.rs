@@ -212,13 +212,15 @@ impl Hub {
             .push(row);
     }
 
-    /// Records one completed functional or timing walk (`mode`): copies
-    /// the simulator's statistics into a manifest [`RunRecord`] and drains
-    /// the event sink, attributing events to the current benchmark.
+    /// Records one completed functional or timing walk (`mode`) on the
+    /// named `machine`: copies the simulator's statistics into a manifest
+    /// [`RunRecord`] and drains the event sink, attributing events to the
+    /// current benchmark.
     #[allow(clippy::too_many_arguments)]
     pub fn finish_run(
         &self,
         mode: &str,
+        machine: &str,
         config: &str,
         instructions: u64,
         stats: &BranchClassStats,
@@ -230,6 +232,7 @@ impl Hub {
         let label = state.label();
         let mut run = RunRecord::new(label.clone(), config);
         run.mode = mode.to_string();
+        run.machine = machine.to_string();
         run.instructions = instructions;
         run.wall_ns = wall_ns;
         run.count("branches", stats.total_executed());
@@ -632,7 +635,7 @@ pub fn live_report(scale: Scale, top_n: usize, dir: impl Into<PathBuf>) -> Strin
     let ctx = session.ctx();
     let hub = ctx.hub().expect("events session owns a hub").clone();
     for bench in Benchmark::ALL {
-        let trace = crate::runner::trace(&ctx, bench, scale);
+        let trace = crate::runner::trace(&ctx, bench.workload(), scale);
         crate::runner::functional(
             &ctx,
             &trace,

@@ -156,9 +156,9 @@ fn generation_truncation_shortens_the_trace_and_the_cell_succeeds() {
     };
     let (perl, gcc) = (instructions(Benchmark::Perl), instructions(Benchmark::Gcc));
     assert!(!perl.is_empty() && !gcc.is_empty(), "{runs:?}");
-    let half = Scale::Quick.budget(Benchmark::Perl) as u64 / 2;
+    let half = Scale::Quick.budget(&Benchmark::Perl.workload()) as u64 / 2;
     assert!(perl.iter().all(|&n| n == half), "perl walks: {perl:?}");
-    let full = Scale::Quick.budget(Benchmark::Gcc) as u64;
+    let full = Scale::Quick.budget(&Benchmark::Gcc.workload()) as u64;
     assert!(gcc.iter().all(|&n| n == full), "gcc walks: {gcc:?}");
     assert!(trace_files(&cwd).is_empty());
     let _ = fs::remove_dir_all(cwd);

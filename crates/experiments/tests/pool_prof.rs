@@ -45,7 +45,7 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
         .map(|&bench| {
             let ctx = ctx.clone();
             CellTask::new(format!("prof/{bench}"), move || {
-                let trace = runner::trace(&ctx, bench, Scale::Quick);
+                let trace = runner::trace(&ctx, bench.workload(), Scale::Quick);
                 runner::functional(&ctx, &trace, FrontEndConfig::isca97_baseline());
                 let mut data = CellData::new();
                 data.set("instructions", trace.len() as f64);

@@ -357,10 +357,12 @@ fn full_scale_perl_and_gcc_counts_reconcile() {
             outcome.report.findings.iter().collect::<Vec<_>>()
         );
         let conf = outcome.conformance.expect("conformance ran");
-        assert_eq!(conf.instructions, Scale::Full.budget(bench), "{bench}");
+        let workload = bench.workload();
+        let budget = Scale::Full.budget(&workload);
+        assert_eq!(conf.instructions, budget, "{bench}");
 
         // Re-derive the dynamic stats independently and compare exactly.
-        let trace = bench.workload().generate(Scale::Full.budget(bench));
+        let trace = workload.generate(budget);
         let stats = trace.stats();
         assert_eq!(
             conf.static_class_counts,

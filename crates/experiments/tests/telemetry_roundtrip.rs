@@ -23,12 +23,12 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
         manifest_path = session.manifest_path();
         events_path = session.events_path();
         let ctx = session.ctx();
-        let t = trace(&ctx, bench, Scale::Quick);
+        let t = trace(&ctx, bench.workload(), Scale::Quick);
         functional(&ctx, &t, frontend);
     } // drop writes the files
 
     // Independent reference run: same trace, same config, no telemetry.
-    let t = trace(&TelemetryCtx::off(), bench, Scale::Quick);
+    let t = trace(&TelemetryCtx::off(), bench.workload(), Scale::Quick);
     let mut reference = PredictionHarness::new(frontend);
     reference.run(&t);
     let ref_stats = reference.stats();
@@ -118,4 +118,84 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
     assert_eq!(manifest.get("events_dropped").unwrap().as_u64(), Some(0));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Computes one registered experiment at quick scale under a summary
+/// session and returns its manifest's `runs` and `spans`.
+fn manifest_of(experiment: &str) -> (Vec<Json>, Json) {
+    let dir = std::env::temp_dir().join(format!(
+        "repro-telemetry-{experiment}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let def = experiments::jobs::registry::find(experiment).expect("registered");
+    let manifest_path;
+    {
+        let session = session_with(experiment, Scale::Quick, TelemetryMode::Summary, &dir);
+        manifest_path = session.manifest_path();
+        def.compute(&session.ctx(), Scale::Quick);
+    }
+    let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+    let manifest = parse(text.trim()).expect("manifest is valid JSON");
+    let _ = std::fs::remove_dir_all(&dir);
+    let runs = manifest
+        .get("runs")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .to_vec();
+    (runs, manifest.get("spans").unwrap().clone())
+}
+
+fn str_field<'a>(run: &'a Json, key: &str) -> &'a str {
+    run.get(key).and_then(Json::as_str).unwrap()
+}
+
+#[test]
+fn oo_walks_are_attributed_to_their_benchmark() {
+    let (runs, spans) = manifest_of("extension_oo");
+    // One timing walk per configuration per OO benchmark.
+    assert_eq!(runs.len(), 8);
+    for run in &runs {
+        assert!(
+            ["ixx", "deltablue"].contains(&str_field(run, "label")),
+            "{run:?}"
+        );
+        assert_eq!(str_field(run, "mode"), "timing");
+        assert_eq!(str_field(run, "machine"), "isca97");
+    }
+    assert_eq!(
+        spans
+            .get("workload-gen")
+            .unwrap()
+            .get("count")
+            .unwrap()
+            .as_u64(),
+        Some(2),
+        "each OO trace is generated under the workload-gen span"
+    );
+}
+
+#[test]
+fn scaling_walks_are_recorded_under_their_machine() {
+    let (runs, spans) = manifest_of("extension_scaling");
+    let machines: Vec<&str> = experiments::extension_scaling::machines()
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    // Baseline and target cache on each machine, per focus benchmark.
+    assert_eq!(runs.len(), 2 * machines.len() * Benchmark::FOCUS.len());
+    for run in &runs {
+        assert_eq!(str_field(run, "mode"), "timing");
+        assert!(machines.contains(&str_field(run, "machine")), "{run:?}");
+    }
+    assert_eq!(
+        spans
+            .get("uarch-sim")
+            .unwrap()
+            .get("count")
+            .unwrap()
+            .as_u64(),
+        Some(runs.len() as u64),
+        "every walk is timed under the uarch-sim span"
+    );
 }

@@ -32,6 +32,9 @@ pub struct RunRecord {
     /// harness alone) or `timing` (the out-of-order machine model), so a
     /// timing walk and a functional walk of one config stay distinct.
     pub mode: String,
+    /// Short name of the machine model the walk ran on (`isca97`, the
+    /// paper's HPS machine, unless a study sweeps machines).
+    pub machine: String,
     /// Human-readable description of the predictor configuration.
     pub config: String,
     /// Dynamic instructions replayed.
@@ -68,6 +71,7 @@ impl RunRecord {
         obj([
             ("label", Json::from(self.label.as_str())),
             ("mode", Json::from(self.mode.as_str())),
+            ("machine", Json::from(self.machine.as_str())),
             ("config", Json::from(self.config.as_str())),
             ("instructions", Json::from(self.instructions)),
             (
@@ -258,6 +262,7 @@ impl RunManifest {
                             obj([
                                 ("label", Json::from(r.label.as_str())),
                                 ("mode", Json::from(r.mode.as_str())),
+                                ("machine", Json::from(r.machine.as_str())),
                                 ("config", Json::from(r.config.as_str())),
                                 (
                                     "instr_per_sec",
@@ -395,6 +400,7 @@ mod tests {
 
         let mut run = RunRecord::new("perl", "target-cache 512-entry tagless");
         run.mode = "timing".to_string();
+        run.machine = "16-wide, deep".to_string();
         run.instructions = 100_000;
         run.count("tc.lookups", 750);
         run.count("tc.hits", 500);
@@ -423,6 +429,10 @@ mod tests {
         assert_eq!(runs[0].get("label").unwrap().as_str(), Some("perl"));
         assert_eq!(runs[0].get("mode").unwrap().as_str(), Some("timing"));
         assert_eq!(
+            runs[0].get("machine").unwrap().as_str(),
+            Some("16-wide, deep")
+        );
+        assert_eq!(
             runs[0].get("config").unwrap().as_str(),
             Some("target-cache 512-entry tagless")
         );
@@ -430,6 +440,13 @@ mod tests {
         assert_eq!(
             perf_runs.as_arr().unwrap()[0].get("mode").unwrap().as_str(),
             Some("timing")
+        );
+        assert_eq!(
+            perf_runs.as_arr().unwrap()[0]
+                .get("machine")
+                .unwrap()
+                .as_str(),
+            Some("16-wide, deep")
         );
         let counters = runs[0].get("counters").unwrap();
         assert_eq!(counters.get("tc.lookups").unwrap().as_u64(), Some(750));
