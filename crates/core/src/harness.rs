@@ -725,10 +725,7 @@ mod tests {
         for e in &events {
             let Event::Mispredict {
                 predicted, actual, ..
-            } = e
-            else {
-                panic!("only mispredict events expected, got {e:?}");
-            };
+            } = e;
             assert_ne!(predicted, actual);
         }
     }

@@ -24,6 +24,11 @@
 //! * `REPRO_JOBS`, `REPRO_RETRIES`, `REPRO_DEADLINE_MS`,
 //!   `REPRO_BACKOFF_MS`, `REPRO_FAULTS` — see
 //!   [`super::pool::RunnerConfig`] and [`super::faults`].
+//!
+//! Every campaign simulates its cells exactly. The sampled estimate of
+//! Table 1 is an experiment of its own (`simpoint`, see
+//! [`crate::sample`]), not a mode of this driver; the variables of the
+//! retired sharded sampling driver are ignored.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -59,7 +64,7 @@ fn default_run_id(tool: &str) -> String {
     format!("{tool}-{secs}-{}", std::process::id())
 }
 
-pub(crate) fn operator_error(message: &str) -> ! {
+fn operator_error(message: &str) -> ! {
     eprintln!("error: {message}");
     exit(2)
 }
@@ -80,15 +85,19 @@ pub fn run_single(name: &str) -> ! {
 
 fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
     let scale = Scale::from_env_or_exit();
-    if crate::runner::SampleMode::from_env_or_exit() == crate::runner::SampleMode::Simpoint {
-        return crate::sample::drive_sampled(tool, defs, scale);
-    }
-
     // The session parses the telemetry/progress knob surface (the one
     // env read) and must outlive the campaign so cell records land in
     // the manifest. Every cell task carries a clone of its context.
     let session = telemetry::session_or_exit(tool, scale);
     let ctx = session.ctx();
+    let config = RunnerConfig::from_env().unwrap_or_else(|e| operator_error(&e));
+    let journal_dir = PathBuf::from(
+        env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
+    );
+    let resume = env_nonempty("REPRO_RESUME");
+    let run_id = resume
+        .clone()
+        .unwrap_or_else(|| env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool)));
 
     let tasks: Vec<CellTask> = defs
         .iter()
@@ -102,56 +111,8 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         })
         .collect();
 
-    let driven = drive_campaign(&session, tasks);
-
-    for def in defs {
-        let mut cells = CellSet::new();
-        for label in (def.labels)() {
-            let report = driven
-                .outcome
-                .report(&cell_id(def.name, label))
-                .expect("every enumerated cell was scheduled");
-            cells.insert(label, report.outcome.clone());
-        }
-        println!("{}", (def.render)(&cells));
-    }
-
-    epilogue(
-        tool,
-        &driven.run_id,
-        scale,
-        &driven.journal_dir,
-        &driven.outcome,
-    )
-}
-
-/// What [`drive_campaign`] hands back to its caller for rendering and
-/// the exit epilogue.
-pub(crate) struct DrivenCampaign {
-    /// The run id (journal name) this campaign executed under.
-    pub run_id: String,
-    /// Journal directory, for the resume command.
-    pub journal_dir: PathBuf,
-    /// Every cell's report.
-    pub outcome: CampaignOutcome,
-}
-
-/// The campaign execution core shared by the exact driver ([`drive`])
-/// and the sampled driver ([`crate::sample::drive_sampled`]): run id and
-/// journal location from the environment, fault installation, the
-/// banner, and [`Campaign`] open and run. The caller owns task
-/// enumeration, rendering, and the exit epilogue.
-pub(crate) fn drive_campaign(session: &Session, tasks: Vec<CellTask>) -> DrivenCampaign {
-    let config = RunnerConfig::from_env().unwrap_or_else(|e| operator_error(&e));
-    let journal_dir = PathBuf::from(
-        env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
-    );
-    let resume = env_nonempty("REPRO_RESUME");
-    let run_id = resume.clone().unwrap_or_else(|| {
-        env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(&session.tool))
-    });
     let campaign = Campaign::open(
-        session,
+        &session,
         &run_id,
         &journal_dir,
         resume.as_deref(),
@@ -166,7 +127,7 @@ pub(crate) fn drive_campaign(session: &Session, tasks: Vec<CellTask>) -> DrivenC
     println!(
         "run: {run_id}  trace: {}  scale: {}  cells: {}  workers: {}  journal: {}\n",
         campaign.trace_id,
-        session.scale.name(),
+        scale.name(),
         tasks.len(),
         config.workers,
         campaign.journal.path().display()
@@ -175,11 +136,19 @@ pub(crate) fn drive_campaign(session: &Session, tasks: Vec<CellTask>) -> DrivenC
     let outcome = campaign
         .run(tasks, &config, None, None)
         .unwrap_or_else(|e| operator_error(&e));
-    DrivenCampaign {
-        run_id,
-        journal_dir,
-        outcome,
+
+    for def in defs {
+        let mut cells = CellSet::new();
+        for label in (def.labels)() {
+            let report = outcome
+                .report(&cell_id(def.name, label))
+                .expect("every enumerated cell was scheduled");
+            cells.insert(label, report.outcome.clone());
+        }
+        println!("{}", (def.render)(&cells));
     }
+
+    epilogue(tool, &run_id, scale, &journal_dir, &outcome)
 }
 
 /// An open campaign: its journal, correlation id, and armed lifecycle
@@ -334,7 +303,7 @@ pub(crate) fn resume_command(tool: &str, run_id: &str, scale: Scale, journal_dir
     cmd
 }
 
-pub(crate) fn epilogue(
+fn epilogue(
     tool: &str,
     run_id: &str,
     scale: Scale,

@@ -80,10 +80,12 @@ impl Scenario {
 ///   gcc trace against its static image.
 /// * `simpoint-fingerprint` — BBV fingerprinting plus phase clustering
 ///   over the two heaviest indirect-jump workloads (perl, gcc).
-/// * `simpoint-sampled-table1` — the per-run sampled measurement path
-///   (in-memory fingerprinting and clustering, warmed representative
-///   slices, weighted recombination) on perl and gcc; compare against
-///   `functional-btb/{perl,gcc}` for the sampling speedup.
+/// * `simpoint-sampled-table1` — the sampled half of a `simpoint`
+///   experiment cell (in-memory fingerprinting and clustering, warmed
+///   representative slices, weighted recombination) on perl and gcc;
+///   compare against `functional-btb/{perl,gcc}` for the sampling
+///   speedup. The name predates the experiment and is kept so BENCH
+///   trajectories line up.
 /// * `e2e/table1` — end-to-end Table 1 regeneration at quick scale.
 ///
 /// Traces for the replay scenarios are generated once up front and
@@ -235,8 +237,8 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         // Phase-sampling layer, on the two heaviest indirect-jump
         // workloads. `simpoint-fingerprint` isolates BBV fingerprinting
         // plus clustering alone. `simpoint-sampled-table1` is the
-        // sampled measurement path a campaign pays per run: the phase
-        // map clustered in memory, then warmed representative
+        // sampled measurement a `simpoint` cell pays per benchmark: the
+        // phase map clustered in memory, then warmed representative
         // simulation. Its wall clock against exact
         // `functional-btb/{perl,gcc}` is the sampling speedup the BENCH
         // trajectory documents.
@@ -259,9 +261,9 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         scenarios.push(Scenario::new("simpoint-sampled-table1", move || {
             let _ = hub::take_instructions();
             for trace in [&perl, &gcc] {
-                // The real campaign prologue: the phase map clustered
-                // from in-memory fingerprints, then warmed
-                // representative simulation.
+                // As in `sample::cell`: the phase map clustered from
+                // in-memory fingerprints, then warmed representative
+                // simulation.
                 let map = crate::sample::phase_map(&ctx, trace);
                 let rate = crate::sample::sampled_indirect_mispred(
                     &ctx,

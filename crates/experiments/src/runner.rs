@@ -91,65 +91,6 @@ impl Scale {
     }
 }
 
-/// Whether the table binaries simulate every instruction or only the
-/// SimPoint-style representative slices chosen by phase clustering.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SampleMode {
-    /// Exact simulation: every chunk of every trace.
-    #[default]
-    Off,
-    /// Phase sampling: cluster chunk BBV fingerprints, simulate only the
-    /// weighted representative slices, recombine by cluster weight, and
-    /// report sampled-vs-exact error (see [`crate::sample`]).
-    Simpoint,
-}
-
-impl SampleMode {
-    /// The values [`SampleMode::parse`] accepts, for error messages.
-    pub const ACCEPTED: &'static str = "off, simpoint";
-
-    /// Parses a sampling-mode name (`off` / `simpoint`, case-insensitive).
-    pub fn parse(value: &str) -> Result<SampleMode, String> {
-        match value.to_ascii_lowercase().as_str() {
-            "off" => Ok(SampleMode::Off),
-            "simpoint" => Ok(SampleMode::Simpoint),
-            _ => Err(format!(
-                "unrecognized REPRO_SAMPLE value {value:?}; accepted values: {}",
-                SampleMode::ACCEPTED
-            )),
-        }
-    }
-
-    /// The mode's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SampleMode::Off => "off",
-            SampleMode::Simpoint => "simpoint",
-        }
-    }
-
-    /// Reads the mode from the `REPRO_SAMPLE` environment variable,
-    /// defaulting to `Off` when unset or set to the empty string. An
-    /// unrecognized value is an error, not a fallback — the same strict-knob
-    /// contract as [`Scale::from_env`].
-    pub fn from_env() -> Result<SampleMode, String> {
-        match std::env::var("REPRO_SAMPLE") {
-            Ok(v) if v.is_empty() => Ok(SampleMode::Off),
-            Ok(v) => SampleMode::parse(&v),
-            Err(_) => Ok(SampleMode::Off),
-        }
-    }
-
-    /// [`SampleMode::from_env`] for binaries: an unrecognized value prints
-    /// the diagnostic to stderr and exits with status 2.
-    pub fn from_env_or_exit() -> SampleMode {
-        SampleMode::from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
-}
-
 /// A short description of the front end's indirect predictor for run
 /// manifests.
 fn config_desc(config: &FrontEndConfig) -> String {

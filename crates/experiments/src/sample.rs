@@ -1,55 +1,40 @@
 //! SimPoint-style sampled simulation: phase maps over BBV chunk
-//! fingerprints, sharded representative-slice measurement, weighted
-//! recombination, and the mandatory exact-vs-sampled error report.
+//! fingerprints, warmed representative-slice measurement, and weighted
+//! recombination into a sampled misprediction rate.
 //!
-//! `REPRO_SAMPLE=simpoint table1` turns the exact per-benchmark cells
-//! into shard cells over *representative slices*: the trace is
-//! fingerprinted ([`sim_trace::fingerprint_trace`]), the chunk BBVs are
-//! clustered ([`simpoint::cluster`]), and each phase is sampled at up
-//! to one member chunk per [`REP_SPACING`] members (the SimPoint-3.0
-//! "multiple simulation points" device — a lone 4096-record slice
-//! carries too much variance to stand for a whole phase). Each slice is
-//! simulated — after warming predictor state on the [`WARMUP_RECORDS`]
-//! records before it — as an independent cell on the jobs worker pool,
-//! with the usual panic isolation, retry, journal, and progress-stream
-//! semantics. Shard cell ids carry their cluster, chunk, and weight
-//! (`table1/perl#p2c37@0.0714`) so live views can tell representative
-//! shards from exact cells.
+//! The trace is fingerprinted ([`sim_trace::fingerprint_trace`]), the
+//! chunk BBVs are clustered ([`simpoint::cluster`]), and each phase is
+//! sampled at up to one member chunk per [`REP_SPACING`] members (the
+//! SimPoint-3.0 "multiple simulation points" device — a lone
+//! 4096-record slice carries too much variance to stand for a whole
+//! phase). Each slice is simulated after warming predictor state on the
+//! [`WARMUP_RECORDS`] records before it, and the per-slice counts are
+//! recombined by slice weight ([`simpoint::recombine`]).
 //!
-//! Per-benchmark misprediction rates are then recombined by slice
-//! weight ([`simpoint::recombine`]), and — unless
-//! `REPRO_SAMPLE_EXACT=off` — the exact rates are computed inline and
-//! compared: the error report (absolute error in percentage points and
-//! relative error per benchmark) is printed, written to
-//! `results/sampling/<run>-error-report.json`, and gated against
-//! `REPRO_SAMPLE_TOLERANCE_PP` (default 1.0). A benchmark whose sampled
-//! slices executed too few indirect jumps to resolve the tolerance
-//! (one misprediction flip moves the rate by `100/n` pp) is reported
-//! as `low-signal` and excluded from the gate: at small scales the
+//! This machinery backs the `simpoint` registry experiment, whose cells
+//! compute the sampled *and* exact Table 1 BTB indirect-jump
+//! misprediction rates per benchmark and report the error columns as a
+//! regular table; `simpoint-pack compare` runs the same sequential path
+//! against a written phase map. A [`BenchError`] row judges one
+//! benchmark against the documented [`DEFAULT_TOLERANCE_PP`] bound. A
+//! benchmark whose sampled slices executed too few indirect jumps to
+//! resolve the tolerance (one misprediction flip moves the rate by
+//! `100/n` pp) is low-signal and not gated: at small scales the
 //! sparse-indirect workloads (compress, ijpeg) simply do not carry
 //! enough events per slice for a percentage-point bound to be
-//! statistically meaningful.
-//!
-//! The same machinery backs the `simpoint` registry experiment, whose
-//! cells compute sampled *and* exact rates per benchmark and report the
-//! error columns as a regular table.
+//! statistically meaningful. The workspace test `sampling_gate` holds
+//! every gated benchmark to the bound at standard scale.
 
-use crate::jobs::cli::{drive_campaign, epilogue, operator_error};
-use crate::jobs::pool::CellTask;
-use crate::jobs::{cell_id, registry::ExperimentDef, CellData, CellSet};
+use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
 use crate::runner::{functional, trace, Scale};
 use crate::table1;
 use crate::telemetry::{self, TelemetryCtx};
 use branch_predictors::ClassCounters;
 use sim_isa::VecTrace;
-use sim_telemetry::json::obj;
-use sim_telemetry::Json;
 use sim_trace::CHUNK_RECORDS;
 use simpoint::{cluster, recombine, ClusterConfig, PhaseMap, SliceStats};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use target_cache::harness::{FrontEndConfig, PredictionHarness};
 
 /// Records of predictor warm-up simulated before each representative
@@ -67,52 +52,15 @@ pub const WARMUP_RECORDS: usize = 1024;
 /// pin.
 pub const FULL_WARMUP: usize = usize::MAX;
 
-/// Default for `REPRO_SAMPLE_TOLERANCE_PP`: the documented error bound,
-/// in percentage points of indirect-jump misprediction rate.
+/// The documented error bound, in percentage points of indirect-jump
+/// misprediction rate: the `sampling_gate` test's tolerance and the
+/// default of `simpoint-pack compare --tolerance-pp`.
 pub const DEFAULT_TOLERANCE_PP: f64 = 1.0;
-
-/// Where error reports land unless `REPRO_SAMPLE_DIR` says otherwise.
-pub const DEFAULT_SAMPLING_DIR: &str = "results/sampling";
 
 /// One representative slice is measured per (up to) this many member
 /// chunks of a phase — the accuracy/speed dial. Larger values sample
 /// fewer slices (faster, noisier); each phase always gets at least one.
 pub const REP_SPACING: usize = 9;
-
-/// The shard suffix appended to a cell id:
-/// `#p<cluster>c<chunk>@<weight>`.
-pub fn shard_suffix(cluster: u32, chunk: u64, weight: f64) -> String {
-    format!("#p{cluster}c{chunk}@{weight:.4}")
-}
-
-/// A shard cell id: `table1/perl#p2c37@0.0714`.
-pub fn shard_cell_id(
-    experiment: &str,
-    bench: &str,
-    cluster: u32,
-    chunk: u64,
-    weight: f64,
-) -> String {
-    format!(
-        "{}{}",
-        cell_id(experiment, bench),
-        shard_suffix(cluster, chunk, weight)
-    )
-}
-
-/// Splits a shard cell id back into `(base_cell, cluster, chunk,
-/// weight)`; `None` for plain (exact) cell ids.
-pub fn parse_shard(cell: &str) -> Option<(&str, u32, u64, f64)> {
-    let (base, rest) = cell.rsplit_once("#p")?;
-    let (cluster_chunk, weight) = rest.split_once('@')?;
-    let (cluster, chunk) = cluster_chunk.split_once('c')?;
-    Some((
-        base,
-        cluster.parse().ok()?,
-        chunk.parse().ok()?,
-        weight.parse().ok()?,
-    ))
-}
 
 /// Fingerprints a trace and clusters its chunk BBVs into a phase map
 /// with the default deterministic configuration. Records the
@@ -215,7 +163,7 @@ fn chunk_bounds(len: usize, chunk: u64) -> (usize, usize) {
 /// counter delta returned. Warm-up plus measurement instructions are
 /// credited to the running cell's instruction account, and to the
 /// `sampling.sampled_instructions` counter when telemetry is on.
-pub fn measure_phase(
+fn measure_phase(
     ctx: &TelemetryCtx,
     t: &VecTrace,
     chunk: u64,
@@ -248,7 +196,7 @@ pub fn measure_phase(
 
 /// Wraps one measured slice as the recombination currency: indirect
 /// executions and correct predictions, weighted by cluster size.
-pub fn slice_stats(size: u64, counters: ClassCounters) -> SliceStats {
+fn slice_stats(size: u64, counters: ClassCounters) -> SliceStats {
     SliceStats {
         multiplier: size,
         counts: BTreeMap::from([
@@ -276,9 +224,8 @@ pub fn rate_from_slices(slices: &[SliceStats]) -> f64 {
 
 /// The full sampled measurement for one trace: measure every slice of
 /// the plan ([`representatives`]) and return the weighted slice stats.
-/// The sequential path the `simpoint` registry experiment and
-/// `simpoint-pack compare` use; the sampled campaign driver runs the
-/// same per-slice measurements as shard cells instead.
+/// The path the `simpoint` registry experiment and `simpoint-pack
+/// compare` use.
 pub fn sampled_slices(
     ctx: &TelemetryCtx,
     t: &VecTrace,
@@ -298,7 +245,7 @@ pub fn sampled_slices(
 }
 
 /// Raw (unweighted) indirect jumps executed inside measured slices —
-/// the signal the error-report gate judges resolution by.
+/// the signal [`BenchError::gated`] judges resolution by.
 pub fn sampled_ij(slices: &[SliceStats]) -> u64 {
     slices
         .iter()
@@ -318,7 +265,7 @@ pub fn sampled_indirect_mispred(
     rate_from_slices(&sampled_slices(ctx, t, map, warmup_records, frontend))
 }
 
-/// One benchmark's row of the exact-vs-sampled error report.
+/// One benchmark's exact-vs-sampled comparison.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchError {
     /// Benchmark name.
@@ -332,7 +279,7 @@ pub struct BenchError {
     /// Phases (clusters) the map selected.
     pub phases: u64,
     /// Measured slices the plan expanded to.
-    pub shards: u64,
+    pub slices: u64,
     /// Raw indirect jumps executed inside measured slices.
     pub sampled_ij: u64,
 }
@@ -371,390 +318,6 @@ impl BenchError {
     }
 }
 
-/// The exact-vs-sampled error report a sampled campaign must emit
-/// whenever an exact baseline exists.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ErrorReport {
-    /// Tool that ran the sampled campaign.
-    pub tool: String,
-    /// Run id, for artifact correlation.
-    pub run_id: String,
-    /// Scale name.
-    pub scale: String,
-    /// The tolerance the report was gated against, in percentage points.
-    pub tolerance_pp: f64,
-    /// Per-benchmark errors, in benchmark order.
-    pub rows: Vec<BenchError>,
-}
-
-impl ErrorReport {
-    /// The largest absolute error among gated rows, in percentage
-    /// points (low-signal rows are reported but never judged).
-    pub fn worst_abs_err_pp(&self) -> f64 {
-        self.rows
-            .iter()
-            .filter(|r| r.gated(self.tolerance_pp))
-            .map(BenchError::abs_err_pp)
-            .fold(0.0, f64::max)
-    }
-
-    /// Whether every gated benchmark is within the tolerance.
-    pub fn within_tolerance(&self) -> bool {
-        self.worst_abs_err_pp() <= self.tolerance_pp
-    }
-
-    /// The report as JSON.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("tool", Json::from(self.tool.as_str())),
-            ("run", Json::from(self.run_id.as_str())),
-            ("scale", Json::from(self.scale.as_str())),
-            ("tolerance_pp", Json::from(self.tolerance_pp)),
-            ("worst_abs_err_pp", Json::from(self.worst_abs_err_pp())),
-            ("within_tolerance", Json::from(self.within_tolerance())),
-            (
-                "benchmarks",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            obj([
-                                ("bench", Json::from(r.bench.as_str())),
-                                ("exact", Json::from(r.exact)),
-                                ("sampled", Json::from(r.sampled)),
-                                ("abs_err_pp", Json::from(r.abs_err_pp())),
-                                ("rel_err", Json::from(r.rel_err())),
-                                ("chunks", Json::from(r.chunks)),
-                                ("phases", Json::from(r.phases)),
-                                ("shards", Json::from(r.shards)),
-                                ("sampled_ij", Json::from(r.sampled_ij)),
-                                ("gated", Json::from(r.gated(self.tolerance_pp))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a report back from its JSON form (`simpoint-pack` and the
-    /// binary-level tests read what the driver wrote).
-    pub fn parse(text: &str) -> Result<ErrorReport, String> {
-        let v = sim_telemetry::json::parse(text).map_err(|e| e.to_string())?;
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("error report missing {k:?}"))
-        };
-        let rows = v
-            .get("benchmarks")
-            .and_then(Json::as_arr)
-            .ok_or("error report missing \"benchmarks\"")?
-            .iter()
-            .map(|r| {
-                let num = |k: &str| {
-                    r.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("error report row missing {k:?}"))
-                };
-                Ok(BenchError {
-                    bench: r
-                        .get("bench")
-                        .and_then(Json::as_str)
-                        .ok_or("error report row missing \"bench\"")?
-                        .to_string(),
-                    exact: num("exact")?,
-                    sampled: num("sampled")?,
-                    chunks: num("chunks")? as u64,
-                    phases: num("phases")? as u64,
-                    shards: num("shards")? as u64,
-                    sampled_ij: num("sampled_ij")? as u64,
-                })
-            })
-            .collect::<Result<Vec<BenchError>, String>>()?;
-        Ok(ErrorReport {
-            tool: s("tool")?,
-            run_id: s("run")?,
-            scale: s("scale")?,
-            tolerance_pp: v
-                .get("tolerance_pp")
-                .and_then(Json::as_f64)
-                .ok_or("error report missing \"tolerance_pp\"")?,
-            rows,
-        })
-    }
-
-    /// The operator table.
-    pub fn render(&self) -> String {
-        let mut table = TextTable::new(vec![
-            "benchmark".into(),
-            "chunks".into(),
-            "phases".into(),
-            "shards".into(),
-            "exact".into(),
-            "sampled".into(),
-            "abs err (pp)".into(),
-            "rel err".into(),
-            "gate".into(),
-        ]);
-        for r in &self.rows {
-            let gate = if !r.gated(self.tolerance_pp) {
-                format!("low-signal (n={})", r.sampled_ij)
-            } else if r.abs_err_pp() <= self.tolerance_pp {
-                "ok".to_string()
-            } else {
-                "OVER".to_string()
-            };
-            table.row(vec![
-                r.bench.clone(),
-                r.chunks.to_string(),
-                r.phases.to_string(),
-                r.shards.to_string(),
-                pct(r.exact),
-                pct(r.sampled),
-                format!("{:.3}", r.abs_err_pp()),
-                format!("{:.3}", r.rel_err()),
-                gate,
-            ]);
-        }
-        format!(
-            "Sampling error report (tolerance {:.2} pp, worst {:.3} pp, {}):\n\n{}",
-            self.tolerance_pp,
-            self.worst_abs_err_pp(),
-            if self.within_tolerance() {
-                "within tolerance"
-            } else {
-                "OVER TOLERANCE"
-            },
-            table.render()
-        )
-    }
-
-    /// Writes the report to `<dir>/<run>-error-report.json`.
-    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}-error-report.json", self.run_id));
-        sim_telemetry::atomic_write(&path, self.to_json().to_string().as_bytes())?;
-        Ok(path)
-    }
-}
-
-/// Reads `REPRO_SAMPLE_TOLERANCE_PP` (strictly: a typo exits 2, like
-/// every other knob).
-fn tolerance_from_env() -> f64 {
-    match std::env::var("REPRO_SAMPLE_TOLERANCE_PP") {
-        Ok(v) if v.is_empty() => DEFAULT_TOLERANCE_PP,
-        Ok(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|t| *t >= 0.0)
-            .unwrap_or_else(|| {
-                operator_error(&format!(
-                "unrecognized REPRO_SAMPLE_TOLERANCE_PP value {v:?}; expected a non-negative number"
-            ))
-            }),
-        Err(_) => DEFAULT_TOLERANCE_PP,
-    }
-}
-
-/// Reads `REPRO_SAMPLE_EXACT` (`inline`, the default, computes the
-/// exact baseline after the shard campaign; `off` skips it — and with
-/// it the error report and its gate).
-fn exact_inline_from_env() -> bool {
-    match std::env::var("REPRO_SAMPLE_EXACT") {
-        Ok(v) if v.is_empty() => true,
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "inline" => true,
-            "off" => false,
-            _ => operator_error(&format!(
-                "unrecognized REPRO_SAMPLE_EXACT value {v:?}; accepted values: inline, off"
-            )),
-        },
-        Err(_) => true,
-    }
-}
-
-/// Where error reports are written (`REPRO_SAMPLE_DIR` override).
-fn sampling_dir_from_env() -> PathBuf {
-    match std::env::var("REPRO_SAMPLE_DIR") {
-        Ok(v) if !v.is_empty() => PathBuf::from(v),
-        _ => PathBuf::from(DEFAULT_SAMPLING_DIR),
-    }
-}
-
-/// One benchmark's sampled-campaign plan: the shared trace, its phase
-/// map, and the exact (non-simulated) characterization fields.
-struct BenchPlan {
-    label: &'static str,
-    trace: Arc<VecTrace>,
-    map: PhaseMap,
-}
-
-/// The sampled campaign driver behind `REPRO_SAMPLE=simpoint`: shard
-/// cells on the worker pool, weighted recombination, the sampled
-/// Table 1, and the exact-vs-sampled error report. Exits like
-/// [`epilogue`], plus status 1 when the report exceeds tolerance.
-pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) -> i32 {
-    for def in defs {
-        if def.name != "table1" {
-            operator_error(&format!(
-                "REPRO_SAMPLE=simpoint shards only the table1 experiment, not {:?}; \
-                 run `REPRO_SAMPLE=simpoint table1` (the simpoint experiment reports \
-                 sampled-vs-exact itself and needs no knob)",
-                def.name
-            ));
-        }
-    }
-    let tolerance_pp = tolerance_from_env();
-    let exact_inline = exact_inline_from_env();
-    let session = telemetry::session_or_exit(tool, scale);
-    let ctx = session.ctx();
-
-    // Phase maps must exist before shard tasks can be enumerated: this
-    // sequential prologue generates each trace and clusters its
-    // in-memory chunk fingerprints.
-    let plans: Vec<BenchPlan> = table1::cell_labels()
-        .into_iter()
-        .map(|label| {
-            let bench = crate::jobs::benchmark(label);
-            let t = trace(&ctx, bench.workload(), scale);
-            let map = phase_map(&ctx, &t);
-            BenchPlan {
-                label,
-                trace: Arc::new(t),
-                map,
-            }
-        })
-        .collect();
-
-    let frontend = FrontEndConfig::isca97_baseline();
-    let mut tasks: Vec<CellTask> = Vec::new();
-    for plan in &plans {
-        for rep in representatives(&plan.map) {
-            let weight = rep.multiplier as f64 / plan.map.chunks.max(1) as f64;
-            let id = shard_cell_id("table1", plan.label, rep.cluster, rep.chunk, weight);
-            let t = Arc::clone(&plan.trace);
-            let ctx = ctx.clone();
-            tasks.push(CellTask::new(id, move || {
-                let counters = measure_phase(&ctx, &t, rep.chunk, WARMUP_RECORDS, frontend);
-                let mut d = CellData::new();
-                d.set("multiplier", rep.multiplier as f64);
-                d.set("ij_executed", counters.executed as f64);
-                d.set("ij_correct", counters.correct as f64);
-                d
-            }));
-        }
-    }
-    if let Some(hub) = ctx.hub() {
-        hub.registry()
-            .counter("sampling.shards")
-            .add(tasks.len() as u64);
-    }
-
-    let driven = drive_campaign(&session, tasks);
-
-    // Recombine each benchmark's shard cells into a sampled Table 1. A
-    // benchmark with any failed shard renders as ERR: a partial
-    // recombination would silently re-weight the surviving phases.
-    let mut cells = CellSet::new();
-    let mut sampled_rates: BTreeMap<&str, (f64, u64, u64)> = BTreeMap::new();
-    for plan in &plans {
-        let mut slices = Vec::new();
-        let mut failure = None;
-        let reps = representatives(&plan.map);
-        for rep in &reps {
-            let weight = rep.multiplier as f64 / plan.map.chunks.max(1) as f64;
-            let id = shard_cell_id("table1", plan.label, rep.cluster, rep.chunk, weight);
-            let report = driven
-                .outcome
-                .report(&id)
-                .expect("every enumerated shard was scheduled");
-            match &report.outcome {
-                Ok(d) => slices.push(SliceStats {
-                    multiplier: rep.multiplier,
-                    counts: d.0.clone(),
-                }),
-                Err(reason) => {
-                    failure = Some(format!("shard p{}c{}: {reason}", rep.cluster, rep.chunk))
-                }
-            }
-        }
-        match failure {
-            Some(reason) => cells.insert(plan.label, Err(reason)),
-            None => {
-                let rate = rate_from_slices(&slices);
-                sampled_rates.insert(plan.label, (rate, reps.len() as u64, sampled_ij(&slices)));
-                cells.insert(plan.label, Ok(table1::cell_data(&plan.trace.stats(), rate)));
-            }
-        }
-    }
-
-    println!(
-        "sampled table1 (REPRO_SAMPLE=simpoint): rates recombined from phase representatives\n"
-    );
-    println!("{}", table1::render_cells(&cells));
-
-    let status = epilogue(
-        tool,
-        &driven.run_id,
-        scale,
-        &driven.journal_dir,
-        &driven.outcome,
-    );
-    if status != 0 {
-        return status;
-    }
-
-    if !exact_inline {
-        println!("sampling: exact baseline skipped (REPRO_SAMPLE_EXACT=off); no error report");
-        return 0;
-    }
-
-    // The mandatory error report: exact rates computed inline, compared
-    // per benchmark, written next to the campaign's other artifacts.
-    let rows: Vec<BenchError> = plans
-        .iter()
-        .map(|plan| {
-            let exact = functional(&ctx, &plan.trace, frontend).indirect_jump_misprediction_rate();
-            let (sampled, shards, ij) = sampled_rates[plan.label];
-            BenchError {
-                bench: plan.label.to_string(),
-                exact,
-                sampled,
-                chunks: plan.map.chunks,
-                phases: plan.map.phases.len() as u64,
-                shards,
-                sampled_ij: ij,
-            }
-        })
-        .collect();
-    let report = ErrorReport {
-        tool: tool.to_string(),
-        run_id: driven.run_id.clone(),
-        scale: scale.name().to_string(),
-        tolerance_pp,
-        rows,
-    };
-    println!("{}", report.render());
-    match report.write(&sampling_dir_from_env()) {
-        Ok(path) => println!("error report: {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write the sampling error report: {e}");
-            return 2;
-        }
-    }
-    if !report.within_tolerance() {
-        eprintln!(
-            "error: sampled misprediction rates deviate from exact by up to {:.3} pp (tolerance {:.2} pp)",
-            report.worst_abs_err_pp(),
-            report.tolerance_pp
-        );
-        return 1;
-    }
-    0
-}
-
 // --- The `simpoint` registry experiment: sampled-vs-exact per benchmark ---
 
 /// The benchmark labels the `simpoint` experiment enumerates cells over.
@@ -777,7 +340,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         sampled,
         chunks: map.chunks,
         phases: map.phases.len() as u64,
-        shards: slices.len() as u64,
+        slices: slices.len() as u64,
         sampled_ij: sampled_ij(&slices),
     };
     let mut d = CellData::new();
@@ -826,20 +389,6 @@ mod tests {
     use sim_workloads::Benchmark;
 
     #[test]
-    fn shard_ids_round_trip() {
-        let id = shard_cell_id("table1", "perl", 3, 37, 0.30612);
-        assert_eq!(id, "table1/perl#p3c37@0.3061");
-        let (base, cluster, chunk, weight) = parse_shard(&id).unwrap();
-        assert_eq!(base, "table1/perl");
-        assert_eq!(cluster, 3);
-        assert_eq!(chunk, 37);
-        assert!((weight - 0.3061).abs() < 1e-9);
-        assert_eq!(parse_shard("table1/perl"), None);
-        assert_eq!(parse_shard("table1/perl#p3"), None);
-        assert_eq!(parse_shard("table1/perl#p3@0.5"), None);
-    }
-
-    #[test]
     fn representative_plan_covers_every_chunk_exactly_once() {
         // Multipliers across the plan partition the chunk count, each
         // slice belongs to its own phase, and the exhaustive map
@@ -886,6 +435,31 @@ mod tests {
     }
 
     #[test]
+    fn slices_recombine_by_multiplier() {
+        // A slice standing for 3 chunks outweighs one standing for 1:
+        // (3·10 + 1·0) mispredicted of (3·10 + 1·10) executed. Equal
+        // weighting would give 0.5.
+        let slices = [
+            slice_stats(
+                3,
+                ClassCounters {
+                    executed: 10,
+                    correct: 0,
+                },
+            ),
+            slice_stats(
+                1,
+                ClassCounters {
+                    executed: 10,
+                    correct: 10,
+                },
+            ),
+        ];
+        assert_eq!(rate_from_slices(&slices), 0.75);
+        assert_eq!(sampled_ij(&slices), 20, "raw counts are unweighted");
+    }
+
+    #[test]
     fn sampled_rate_tracks_exact_on_perl() {
         // The real sampled configuration (clustered map, 1024-record
         // warm-up)
@@ -904,73 +478,41 @@ mod tests {
     }
 
     #[test]
-    fn error_report_round_trips_and_gates() {
-        let report = ErrorReport {
-            tool: "table1".into(),
-            run_id: "r-42".into(),
-            scale: "quick".into(),
-            tolerance_pp: 1.0,
-            rows: vec![
-                BenchError {
-                    bench: "perl".into(),
-                    exact: 0.762,
-                    sampled: 0.7575,
-                    chunks: 25,
-                    phases: 4,
-                    shards: 6,
-                    sampled_ij: 800,
-                },
-                BenchError {
-                    bench: "gcc".into(),
-                    exact: 0.66,
-                    sampled: 0.675,
-                    chunks: 25,
-                    phases: 5,
-                    shards: 7,
-                    sampled_ij: 500,
-                },
-            ],
+    fn only_rows_that_resolve_the_tolerance_are_gated() {
+        // gcc: enough sampled indirect jumps to resolve 1 pp, so its
+        // 1.5 pp error is judged (and exceeds the bound).
+        let gcc = BenchError {
+            bench: "gcc".into(),
+            exact: 0.66,
+            sampled: 0.675,
+            chunks: 25,
+            phases: 5,
+            slices: 7,
+            sampled_ij: 500,
         };
-        assert!((report.worst_abs_err_pp() - 1.5).abs() < 1e-9);
-        assert!(!report.within_tolerance());
-        let parsed = ErrorReport::parse(&report.to_json().to_string()).unwrap();
-        assert_eq!(parsed, report);
-        let text = report.render();
-        assert!(text.contains("OVER TOLERANCE"), "{text}");
-        assert!(text.contains("perl"), "{text}");
-    }
+        assert!(gcc.gated(DEFAULT_TOLERANCE_PP));
+        assert!((gcc.abs_err_pp() - 1.5).abs() < 1e-9);
+        assert!((gcc.rel_err() - 0.015 / 0.66).abs() < 1e-12);
+        assert!(gcc.abs_err_pp() > DEFAULT_TOLERANCE_PP);
 
-    #[test]
-    fn low_signal_rows_are_reported_but_not_gated() {
         // compress at small scales: the sampled slices see a handful of
         // indirect jumps, so a single flip overwhelms any pp tolerance.
-        // The row must show up in the report without tripping the gate.
         let sparse = BenchError {
             bench: "compress".into(),
             exact: 0.054,
             sampled: 0.0,
             chunks: 98,
             phases: 3,
-            shards: 7,
+            slices: 7,
             sampled_ij: 20,
         };
-        assert!(
-            !sparse.gated(1.0),
-            "resolution {} pp",
-            sparse.resolution_pp()
-        );
-        let report = ErrorReport {
-            tool: "table1".into(),
-            run_id: "r-43".into(),
-            scale: "standard".into(),
-            tolerance_pp: 1.0,
-            rows: vec![sparse],
+        assert_eq!(sparse.resolution_pp(), 5.0);
+        assert!(!sparse.gated(DEFAULT_TOLERANCE_PP));
+        let silent = BenchError {
+            sampled_ij: 0,
+            ..sparse
         };
-        assert!(report.within_tolerance(), "low-signal rows never gate");
-        assert_eq!(report.worst_abs_err_pp(), 0.0);
-        let text = report.render();
-        assert!(text.contains("low-signal (n=20)"), "{text}");
-        assert!(text.contains("within tolerance"), "{text}");
+        assert!(!silent.gated(f64::MAX), "no signal never gates");
     }
 
     #[test]

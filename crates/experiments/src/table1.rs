@@ -10,7 +10,6 @@ use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
 use crate::runner::{functional, trace, Scale};
 use crate::telemetry::TelemetryCtx;
-use sim_isa::TraceStats;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
@@ -24,19 +23,13 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark.workload(), scale);
     let pred = functional(ctx, &t, FrontEndConfig::isca97_baseline());
-    cell_data(&t.stats(), pred.indirect_jump_misprediction_rate())
-}
-
-/// One Table 1 cell from a trace's characterization and a BTB indirect
-/// misprediction rate, however that rate was measured (exactly here,
-/// recombined from phase samples by [`crate::sample`]).
-pub fn cell_data(stats: &TraceStats, btb_mispred: f64) -> CellData {
+    let stats = t.stats();
     let mut d = CellData::new();
     d.set("instructions", stats.instructions() as f64);
     d.set("branches", stats.branches() as f64);
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
     d.set("static_sites", stats.static_indirect_jumps() as f64);
-    d.set("btb_mispred", btb_mispred);
+    d.set("btb_mispred", pred.indirect_jump_misprediction_rate());
     d
 }
 

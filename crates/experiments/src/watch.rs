@@ -6,7 +6,8 @@
 //! and the render functions turn that into an operator table, a JSON
 //! document, or a timeline report. Keeping the fold in one place means
 //! the live view and the post-mortem can never disagree about what a
-//! stream says.
+//! stream says. A cell is known by its id alone (`table4/perl`); the
+//! table's detail column carries its most recent failure reason.
 
 use crate::report::TextTable;
 use sim_telemetry::json::{obj, Json};
@@ -69,9 +70,6 @@ pub struct CellView {
     pub instr_per_sec: f64,
     /// Most recent failure reason (retry or final `err`).
     pub reason: Option<String>,
-    /// `(cluster, chunk, weight)` for sampled-campaign shard cells (ids
-    /// like `table1/perl#p2c37@0.0714`); `None` for exact cells.
-    pub shard: Option<(u32, u64, f64)>,
 }
 
 impl CellView {
@@ -86,21 +84,6 @@ impl CellView {
             instructions: 0,
             instr_per_sec: 0.0,
             reason: None,
-            shard: crate::sample::parse_shard(cell)
-                .map(|(_, cluster, chunk, weight)| (cluster, chunk, weight)),
-        }
-    }
-
-    /// The detail column: the failure reason when there is one, the
-    /// shard's phase label for sampled shard cells otherwise — live
-    /// views tell representative shards from exact cells at a glance.
-    fn detail(&self) -> String {
-        match (&self.reason, self.shard) {
-            (Some(reason), _) => reason.clone(),
-            (None, Some((cluster, chunk, weight))) => {
-                format!("phase p{cluster} chunk {chunk} weight {weight:.4}")
-            }
-            (None, None) => String::new(),
         }
     }
 
@@ -124,11 +107,6 @@ impl CellView {
         }
         if let Some(reason) = &self.reason {
             fields.insert("reason".to_string(), Json::from(reason.as_str()));
-        }
-        if let Some((cluster, chunk, weight)) = self.shard {
-            fields.insert("cluster".to_string(), Json::from(cluster as u64));
-            fields.insert("chunk".to_string(), Json::from(chunk));
-            fields.insert("weight".to_string(), Json::from(weight));
         }
         Json::Obj(fields)
     }
@@ -380,7 +358,7 @@ impl CampaignStatus {
                 c.attempts.to_string(),
                 wall,
                 rate,
-                c.detail(),
+                c.reason.clone().unwrap_or_default(),
             ]);
         }
         format!("{}\n\n{}", self.headline(), table.render())
@@ -693,49 +671,6 @@ mod tests {
             },
         ]));
         assert!(!done.stalled(u64::MAX / (STALL_MISSED_BEATS * 2)));
-    }
-
-    #[test]
-    fn shard_cells_are_labeled_with_cluster_and_weight() {
-        let status = CampaignStatus::from_stream(&stream(&[
-            started(2),
-            ProgressEvent::CellStarted {
-                cell: "table1/perl#p2c37@0.3061".into(),
-                t_ms: 1,
-            },
-            finished("table1/perl#p2c37@0.3061", "ok", 10, 11),
-            ProgressEvent::CellStarted {
-                cell: "table1/gcc".into(),
-                t_ms: 2,
-            },
-        ]));
-        let shard = status
-            .cells
-            .iter()
-            .find(|c| c.cell.starts_with("table1/perl"))
-            .unwrap();
-        assert_eq!(shard.shard, Some((2, 37, 0.3061)));
-        let exact = status
-            .cells
-            .iter()
-            .find(|c| c.cell == "table1/gcc")
-            .unwrap();
-        assert_eq!(exact.shard, None);
-        let table = status.render_table();
-        assert!(table.contains("phase p2 chunk 37 weight 0.3061"), "{table}");
-        let json = status.to_json();
-        let cells = json.get("cells").unwrap().as_arr().unwrap();
-        let shard_json = cells
-            .iter()
-            .find(|c| {
-                c.get("cell")
-                    .and_then(Json::as_str)
-                    .is_some_and(|s| s.contains("#p"))
-            })
-            .unwrap();
-        assert_eq!(shard_json.get("cluster").unwrap().as_u64(), Some(2));
-        assert_eq!(shard_json.get("chunk").unwrap().as_u64(), Some(37));
-        assert_eq!(shard_json.get("weight").unwrap().as_f64(), Some(0.3061));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! Campaigns generate every trace in process from `(benchmark, scale)`
 //! and write no trace files: `.strc` is made only on request, by
 //! `trace-pack record`. The variables of the retired on-disk trace store
-//! are ignored rather than rejected, so older scripts that still set
-//! them keep working. A `truncate:` fault shortens the generated trace
-//! and the campaign still succeeds on the degraded trace.
+//! and of the retired sharded sampling driver are ignored rather than
+//! rejected, so older scripts that still set them keep working. A
+//! `truncate:` fault shortens the generated trace and the campaign still
+//! succeeds on the degraded trace.
 
 use experiments::runner::Scale;
 use sim_telemetry::json::{parse, Json};
@@ -81,11 +82,16 @@ fn trace_files(dir: &Path) -> Vec<PathBuf> {
 fn retired_store_variables_are_ignored_and_no_trace_file_is_written() {
     let cwd = scratch("store-vars");
     let store_dir = scratch("store-dir");
+    let sample_dir = scratch("sample-dir");
     let with_vars = run_table4(
         &cwd,
         &[
             ("REPRO_TRACE_STORE", "rw"),
             ("REPRO_TRACE_STORE_DIR", store_dir.to_str().unwrap()),
+            ("REPRO_SAMPLE", "simpoint"),
+            ("REPRO_SAMPLE_EXACT", "off"),
+            ("REPRO_SAMPLE_TOLERANCE_PP", "0.5"),
+            ("REPRO_SAMPLE_DIR", sample_dir.to_str().unwrap()),
         ],
     );
     assert_eq!(
@@ -101,14 +107,21 @@ fn retired_store_variables_are_ignored_and_no_trace_file_is_written() {
     assert_eq!(
         tables(&with_vars),
         tables(&plain),
-        "the retired store variables changed the table output"
+        "the retired store and sampling variables changed the table output"
     );
 
     for dir in [&cwd, &store_dir, &plain_cwd] {
         let files = trace_files(dir);
         assert!(files.is_empty(), "a campaign wrote trace files: {files:?}");
     }
-    for dir in [cwd, store_dir, plain_cwd] {
+    let written: Vec<_> = fs::read_dir(&sample_dir)
+        .expect("sampling dir readable")
+        .collect();
+    assert!(
+        written.is_empty(),
+        "a campaign wrote into the retired sampling dir: {written:?}"
+    );
+    for dir in [cwd, store_dir, sample_dir, plain_cwd] {
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -14,8 +14,7 @@
 //! uses farthest-point initialization with index-order tie-breaking,
 //! and k is selected by a BIC-style score — the same seed and the same
 //! fingerprints always produce the same [`PhaseMap`], which is what
-//! lets independent shard cells recompute the map instead of shipping
-//! it.
+//! lets every run recompute the map instead of caching or shipping it.
 //!
 //! [`recombine`] is the other half of the contract: per-slice counts
 //! scaled by integer cluster sizes, summed in slice order — so a

@@ -1,9 +1,8 @@
 //! Property-based tests for phase clustering.
 //!
-//! The sharded sampled-simulation harness relies on every shard cell
-//! recomputing the *same* phase map from the same trace instead of
-//! shipping it between processes — so determinism is load-bearing, not
-//! cosmetic.
+//! Every sampled run recomputes its phase map from the trace, and a map
+//! written by `simpoint-pack cluster` must be the one a run computes —
+//! so determinism is load-bearing, not cosmetic.
 
 use proptest::prelude::*;
 use sim_trace::ChunkFingerprint;

@@ -34,18 +34,6 @@ pub enum Event {
         /// `target-cache`, `ras`, `cascade-btb`, `fallthrough`, …).
         source: &'static str,
     },
-    /// A named phase of a run began (paired with [`Event::PhaseEnd`]).
-    PhaseStart {
-        /// Phase name (`workload-gen`, `harness-replay`, `uarch-sim`).
-        phase: &'static str,
-    },
-    /// A named phase of a run finished.
-    PhaseEnd {
-        /// Phase name.
-        phase: &'static str,
-        /// Wall-clock nanoseconds the phase took.
-        wall_ns: u64,
-    },
 }
 
 impl Event {
@@ -69,17 +57,6 @@ impl Event {
                 ("actual", Json::from(actual)),
                 ("history", Json::from(history)),
                 ("source", Json::from(source)),
-            ]),
-            Event::PhaseStart { phase } => obj([
-                ("event", Json::from("phase-start")),
-                ("run", Json::from(run)),
-                ("phase", Json::from(phase)),
-            ]),
-            Event::PhaseEnd { phase, wall_ns } => obj([
-                ("event", Json::from("phase-end")),
-                ("run", Json::from(run)),
-                ("phase", Json::from(phase)),
-                ("wall_ns", Json::from(wall_ns)),
             ]),
         }
     }
@@ -245,21 +222,7 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_individually() {
         let mut out = Vec::new();
-        write_jsonl(
-            &mut out,
-            "perl",
-            &[
-                mp(0x40),
-                Event::PhaseStart {
-                    phase: "harness-replay",
-                },
-                Event::PhaseEnd {
-                    phase: "harness-replay",
-                    wall_ns: 12_345,
-                },
-            ],
-        )
-        .unwrap();
+        write_jsonl(&mut out, "perl", &[mp(0x40), mp(0x80), mp(0xc0)]).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -269,6 +232,6 @@ mod tests {
         assert_eq!(first.get("pc").unwrap().as_u64(), Some(0x40));
         assert_eq!(first.get("source").unwrap().as_str(), Some("target-cache"));
         let last = parse(lines[2]).expect("line parses");
-        assert_eq!(last.get("wall_ns").unwrap().as_u64(), Some(12_345));
+        assert_eq!(last.get("pc").unwrap().as_u64(), Some(0xc0));
     }
 }

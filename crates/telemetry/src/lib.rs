@@ -11,7 +11,7 @@
 //!   [`Histogram`]s behind `Arc`-backed handles; one relaxed atomic add
 //!   per event, safe on simulator hot paths.
 //! - [`EventSink`] / [`Event`] — a bounded ring of structured events
-//!   (per-branch mispredict records and phase markers), serialized as
+//!   (per-branch mispredict records), serialized as
 //!   JSONL by [`write_jsonl`].
 //! - [`SpanRegistry`] — hierarchical wall-clock timing scopes with
 //!   `Drop` guards: nested spans build `parent;child` paths with

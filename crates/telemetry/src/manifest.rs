@@ -296,7 +296,6 @@ impl RunManifest {
         Some(obj([
             ("chunks", Json::from(chunks)),
             ("phases", Json::from(metrics.counter("sampling.phases"))),
-            ("shards", Json::from(metrics.counter("sampling.shards"))),
             ("sampled_instructions", Json::from(sampled)),
             ("total_instructions", Json::from(total)),
             (
@@ -566,11 +565,10 @@ mod tests {
         let v = m.to_json(&spans, &registry.snapshot());
         assert!(v.get("sampling").is_none());
 
-        // A sampled campaign's counters → section with the cost ratio.
+        // A `simpoint` run's counters → section with the cost ratio.
         let registry = MetricsRegistry::new();
         registry.counter("sampling.chunks").add(98);
         registry.counter("sampling.phases").add(5);
-        registry.counter("sampling.shards").add(5);
         registry
             .counter("sampling.sampled_instructions")
             .add(61_440);
@@ -579,7 +577,6 @@ mod tests {
         let sampling = v.get("sampling").expect("section present");
         assert_eq!(sampling.get("chunks").unwrap().as_u64(), Some(98));
         assert_eq!(sampling.get("phases").unwrap().as_u64(), Some(5));
-        assert_eq!(sampling.get("shards").unwrap().as_u64(), Some(5));
         let fraction = sampling
             .get("simulated_fraction")
             .unwrap()
