@@ -21,12 +21,12 @@
 //!   -h, --help      this message
 //! ```
 //!
-//! A campaign whose producer dies (hung daemon, `kill -9` mid-run)
+//! A campaign whose producer dies (a hung process, `kill -9` mid-run)
 //! leaves an unfinished stream that never grows: `--follow` marks it
 //! `STALLED` after [`experiments::watch::STALL_MISSED_BEATS`] missed
 //! heartbeat intervals (measured from the stream itself) and keeps
 //! watching in case it recovers — unless `--strict`, which exits with
-//! status 3 so CI soak jobs fail fast instead of hanging.
+//! status 3 so CI jobs fail fast instead of hanging.
 //!
 //! Exit status: `0` — status shown; `2` — operator error (bad flag, no
 //! stream found, corrupt stream); `3` — stalled under

@@ -41,9 +41,7 @@ use sim_telemetry::{
 };
 
 use super::journal::{journal_path, Journal};
-use super::pool::{
-    run_campaign, CampaignOutcome, CancelToken, CellTask, RunControls, RunnerConfig, WorkerSlots,
-};
+use super::pool::{run_campaign, CampaignOutcome, CellTask, RunControls, RunnerConfig};
 use super::registry::ExperimentDef;
 use super::{cell_id, faults, CellSet};
 use crate::runner::Scale;
@@ -134,7 +132,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
     );
 
     let outcome = campaign
-        .run(tasks, &config, None, None)
+        .run(tasks, &config)
         .unwrap_or_else(|e| operator_error(&e));
 
     for def in defs {
@@ -152,8 +150,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
 }
 
 /// An open campaign: its journal, correlation id, and armed lifecycle
-/// sinks, built once from the session's [`sim_telemetry::TelemetryConfig`]
-/// for both the batch drivers and `repro-serve`.
+/// sinks, built once from the session's [`sim_telemetry::TelemetryConfig`].
 pub(crate) struct Campaign {
     /// The campaign journal (created, or resumed with its records).
     pub journal: Journal,
@@ -187,8 +184,8 @@ impl Campaign {
             Some(id) => Journal::resume(journal_dir, id, tool, scale)?,
             None => {
                 // Bake the resume command into the header at create time:
-                // whoever finds this journal after a crash (the epilogue,
-                // `repro-serve`'s status endpoint) can surface it verbatim.
+                // whoever finds this journal after a crash can surface it
+                // verbatim.
                 let command = resume_command(tool, run_id, scale, journal_dir);
                 Journal::create_with_meta(
                     journal_dir,
@@ -247,21 +244,13 @@ impl Campaign {
     }
 
     /// Runs `tasks` on the pool, then mirrors every cell outcome into the
-    /// telemetry manifest and writes the trace export. `cancel` and
-    /// `slots` are the daemon's embedding hooks.
+    /// telemetry manifest and writes the trace export.
     pub fn run(
         mut self,
         tasks: Vec<CellTask>,
         config: &RunnerConfig,
-        cancel: Option<CancelToken>,
-        slots: Option<WorkerSlots>,
     ) -> Result<CampaignOutcome, String> {
-        let controls = RunControls {
-            cancel,
-            slots,
-            ..self.controls
-        };
-        let outcome = run_campaign(tasks, config, &mut self.journal, &self.ctx, &controls)?;
+        let outcome = run_campaign(tasks, config, &mut self.journal, &self.ctx, &self.controls)?;
         if let Some(hub) = self.ctx.hub() {
             for r in &outcome.reports {
                 hub.record_cell(CellRecord {

@@ -135,10 +135,9 @@ impl Journal {
     }
 
     /// [`Journal::create`] with the copy-pasteable resume command baked
-    /// into the header, so anything that can read the journal — the
-    /// failure epilogue, `repro-serve`'s `GET /status` — can tell an
-    /// operator how to re-run the unfinished cells without recomputing
-    /// the command from the run's environment.
+    /// into the header, so whoever finds the journal after a crash can
+    /// re-run the unfinished cells without recomputing the command from
+    /// the run's environment.
     pub fn create_with_resume(
         dir: &Path,
         run_id: &str,

@@ -40,9 +40,7 @@ pub mod registry;
 
 pub use faults::FaultPlan;
 pub use journal::{Journal, JournalRecord};
-pub use pool::{
-    run_campaign, CampaignOutcome, CancelToken, CellReport, RunControls, RunnerConfig, WorkerSlots,
-};
+pub use pool::{run_campaign, CampaignOutcome, CancelToken, CellReport, RunControls, RunnerConfig};
 pub use registry::ExperimentDef;
 
 use crate::runner::Scale;
@@ -210,9 +208,8 @@ pub fn err_marker(reason: &str) -> String {
 }
 
 /// Builds the JSON header object shared by journal files. When a
-/// resume command is given it rides along so journal readers (the
-/// failure epilogue, `repro-serve`'s status endpoint) can surface it
-/// after a crash.
+/// resume command is given it rides along so whoever reads the journal
+/// after a crash can re-run the unfinished cells.
 pub(crate) fn json_header(
     run_id: &str,
     tool: &str,

@@ -1,5 +1,5 @@
 //! The fault-tolerant worker pool: panic isolation, deadlines, retry,
-//! cancellation, and multi-campaign scheduling.
+//! and cancellation.
 //!
 //! [`run_campaign`] executes a list of [`CellTask`]s on `REPRO_JOBS`
 //! worker threads. Every attempt runs inside `catch_unwind` on its own
@@ -14,22 +14,20 @@
 //! cell's final outcome is journaled atomically the moment it resolves,
 //! which is what makes a `kill -9` resumable.
 //!
-//! [`RunControls`] makes the pool observable and embeddable. The
+//! [`RunControls`] makes the pool observable and stoppable. The
 //! scheduler emits exactly one [`CampaignEvent`] per lifecycle
 //! transition to every sink it holds (the progress stream, the flight
 //! recorder, the Chrome trace), always after journaling the outcome the
-//! event reports. For a resident daemon ([`crate::serve`]), a
-//! [`CancelToken`] stops the campaign at the next cell boundary
-//! (in-flight cells finish and are journaled; pending cells are reported
-//! `cancelled` *without* journaling, so a resumed run re-executes exactly
-//! those), and shared [`WorkerSlots`] bound the total attempts in flight
-//! across many concurrent campaigns in one process.
+//! event reports. A [`CancelToken`] stops the campaign at the next cell
+//! boundary: in-flight cells finish and are journaled, and pending cells
+//! are reported `cancelled` *without* journaling, so a resumed run
+//! re-executes exactly those.
 
 use super::faults::FaultPlan;
 use super::journal::{Journal, JournalRecord};
 use super::CellData;
 use crate::telemetry::TelemetryCtx;
-use sim_telemetry::{flight, CampaignEvent, CampaignSink, CellTally, SampleRow};
+use sim_telemetry::{flight, CampaignEvent, CampaignSink, CellTally};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,8 +36,8 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 /// How often the scheduler wakes up even without messages, to poll the
-/// cancellation token, re-try shared-slot acquisition, and sweep
-/// expired deadlines. Bounds cancellation latency for idle campaigns.
+/// cancellation token and sweep expired deadlines. Bounds cancellation
+/// latency for idle campaigns.
 const SCHED_POLL: Duration = Duration::from_millis(25);
 
 /// One schedulable unit of work: a cell id plus the computation that
@@ -130,12 +128,12 @@ fn env_nonempty(name: &str) -> Option<String> {
 }
 
 /// A cooperative cancellation flag shared between a campaign and
-/// whoever may want to stop it (a `DELETE /run` handler, a drain path,
-/// a deadline enforcer). Cancellation is observed at cell boundaries:
-/// the scheduler stops launching attempts, lets in-flight cells finish
-/// (journaling their outcomes as usual), and reports every cell that
-/// never resolved as `cancelled: <reason>` without journaling it — so
-/// a resumed run re-executes exactly the unfinished cells.
+/// whoever may want to stop it (a cell's own work, a lifecycle sink).
+/// Cancellation is observed at cell boundaries: the scheduler stops
+/// launching attempts, lets in-flight cells finish (journaling their
+/// outcomes as usual), and reports every cell that never resolved as
+/// `cancelled: <reason>` without journaling it — so a resumed run
+/// re-executes exactly the unfinished cells.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
@@ -180,73 +178,17 @@ impl CancelToken {
     }
 }
 
-/// A shared budget of worker slots, bounding the number of cell
-/// attempts in flight across *all* campaigns that hold a clone — the
-/// daemon's global concurrency cap. Each campaign still respects its
-/// own `RunnerConfig::workers`; the shared budget is the outer bound.
-///
-/// Acquisition is non-blocking: a scheduler that cannot get a slot
-/// simply retries on its next poll tick, which is what yields
-/// round-robin-ish interleaving between concurrent campaigns instead
-/// of one campaign camping on the pool.
-#[derive(Clone)]
-pub struct WorkerSlots {
-    inner: Arc<SlotsInner>,
-}
-
-struct SlotsInner {
-    free: Mutex<usize>,
-    capacity: usize,
-}
-
-impl WorkerSlots {
-    /// A budget of `capacity` concurrent attempts (minimum 1).
-    pub fn new(capacity: usize) -> WorkerSlots {
-        let capacity = capacity.max(1);
-        WorkerSlots {
-            inner: Arc::new(SlotsInner {
-                free: Mutex::new(capacity),
-                capacity,
-            }),
-        }
-    }
-
-    /// The configured budget.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    fn try_acquire(&self) -> bool {
-        let mut free = self.inner.free.lock().expect("worker slots lock");
-        if *free > 0 {
-            *free -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release(&self) {
-        let mut free = self.inner.free.lock().expect("worker slots lock");
-        *free += 1;
-    }
-}
-
-/// Embedding hooks and lifecycle observers for [`run_campaign`].
-/// `Default` (no cancellation, no shared budget, no sinks) is plain
-/// batch behaviour.
+/// Cancellation and lifecycle observers for [`run_campaign`].
+/// `Default` (no cancellation, no sinks) is plain batch behaviour.
 #[derive(Clone, Default)]
 pub struct RunControls {
     /// Cooperative cancellation, observed at cell boundaries.
     pub cancel: Option<CancelToken>,
-    /// Shared attempt budget across concurrent campaigns.
-    pub slots: Option<WorkerSlots>,
     /// Renderers of the campaign's lifecycle stream; each sees every
     /// event, in order, from the scheduler thread.
     pub sinks: Vec<Arc<dyn CampaignSink>>,
-    /// Heartbeat period: one `Heartbeat` event per tick (and, when the
-    /// telemetry context carries a hub, one manifest time-series row).
-    /// `None` emits only the closing heartbeat.
+    /// Heartbeat period: one `Heartbeat` event per tick. `None` emits
+    /// only the closing heartbeat.
     pub heartbeat: Option<Duration>,
 }
 
@@ -342,9 +284,9 @@ struct TaskState {
     /// and dropped.
     live_attempt: Option<u32>,
     /// When the in-flight attempt's deadline expires. Tracked by the
-    /// scheduler itself (no watchdog thread: a daemon spawning one
-    /// sleeping thread per attempt would leak them for the full
-    /// deadline, 10 minutes by default).
+    /// scheduler itself (no watchdog thread: one sleeping thread per
+    /// attempt would outlive the attempt for the full deadline, 10
+    /// minutes by default).
     deadline_at: Option<Instant>,
     last_error: String,
     done: bool,
@@ -442,15 +384,7 @@ pub fn run_campaign(
         }
         if !cancelled {
             while running < config.workers.max(1) {
-                let Some(&i) = ready.front() else { break };
-                // Under a shared budget, an unavailable slot is not an
-                // error: leave the task queued and retry next poll tick.
-                if let Some(slots) = &controls.slots {
-                    if !slots.try_acquire() {
-                        break;
-                    }
-                }
-                ready.pop_front();
+                let Some(i) = ready.pop_front() else { break };
                 let state = &mut states[i];
                 state.attempts_used += 1;
                 let attempt = state.attempts_used;
@@ -472,7 +406,11 @@ pub fn run_campaign(
         let now = Instant::now();
         if let (Some(tick), Some(at)) = (tick, next_beat.as_mut()) {
             if now >= *at {
-                heartbeat(controls, ctx, started, running, completed, total);
+                controls.emit(CampaignEvent::Heartbeat {
+                    active: running as u64,
+                    done: completed as u64,
+                    total: total as u64,
+                });
                 *at += tick;
                 if *at < now {
                     *at = now + tick;
@@ -482,7 +420,7 @@ pub fn run_campaign(
 
         // Sleep until the next message, but no longer than the nearest
         // in-flight deadline or heartbeat (and never past the poll tick,
-        // which bounds cancellation/slot-retry latency).
+        // which bounds cancellation latency).
         let mut wait = SCHED_POLL;
         for at in states
             .iter()
@@ -509,9 +447,6 @@ pub fn run_campaign(
                 state.wall_ms += wall_ms;
                 state.instructions += instructions;
                 running -= 1;
-                if let Some(slots) = &controls.slots {
-                    slots.release();
-                }
                 let cell = &tasks[task].id;
                 let report = match result {
                     Ok(data) => {
@@ -558,9 +493,6 @@ pub fn run_campaign(
             state.wall_ms += deadline_ms;
             state.last_error = format!("deadline exceeded ({deadline_ms} ms)");
             running -= 1;
-            if let Some(slots) = &controls.slots {
-                slots.release();
-            }
             let cell = &tasks[task].id;
             controls.emit(CampaignEvent::DeadlineKill { cell, deadline_ms });
             if let Some(report) = retry_or_fail(task, cell, state, config, &tx) {
@@ -618,37 +550,6 @@ pub fn run_campaign(
         total: total as u64,
     });
     Ok(outcome)
-}
-
-/// One heartbeat tick: the lifecycle event plus, when `ctx` carries a
-/// hub, a manifest time-series row of the counters.
-fn heartbeat(
-    controls: &RunControls,
-    ctx: &TelemetryCtx,
-    started: Instant,
-    active: usize,
-    done: usize,
-    total: usize,
-) {
-    let (active, done) = (active as u64, done as u64);
-    controls.emit(CampaignEvent::Heartbeat {
-        active,
-        done,
-        total: total as u64,
-    });
-    if let Some(hub) = ctx.hub() {
-        hub.push_sample(SampleRow {
-            t_ms: started.elapsed().as_millis() as u64,
-            done,
-            active,
-            counters: hub
-                .registry()
-                .snapshot()
-                .counters()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
-    }
 }
 
 /// Handles a failed attempt: schedules a backoff retry if attempts
@@ -1185,52 +1086,35 @@ mod tests {
         // exactly the cancelled ones.
         assert_eq!(journal.records().count(), 1);
         assert!(journal.record("t/a").unwrap().ok);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        drop(journal);
 
-    #[test]
-    fn shared_slots_bound_attempts_across_the_process() {
-        use std::sync::atomic::AtomicUsize;
-
-        let dir = scratch("slots");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 6).unwrap();
-        let slots = WorkerSlots::new(1);
-        assert_eq!(slots.capacity(), 1);
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<CellTask> = (0..6)
-            .map(|i| {
-                let live = Arc::clone(&live);
-                let peak = Arc::clone(&peak);
-                CellTask::new(format!("t/c{i}"), move || {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(5));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    CellData::new()
-                })
-            })
-            .collect();
-        // The campaign asks for 4 workers, but the shared budget allows 1.
-        let config = RunnerConfig {
-            workers: 4,
-            ..fast("")
-        };
-        let controls = RunControls {
-            slots: Some(slots),
-            ..RunControls::default()
-        };
-        let outcome = run_campaign(
+        // Resume without a token: the journaled cell is restored, not
+        // re-run, and every cancelled cell now runs to completion.
+        let mut journal = Journal::resume(&dir, "r", "t", Scale::Quick).unwrap();
+        let tasks = vec![
+            value_task("t/a", 1.0),
+            value_task("t/b", 2.0),
+            value_task("t/c", 3.0),
+        ];
+        let resumed = run_campaign(
             tasks,
-            &config,
+            &fast(""),
             &mut journal,
             &TelemetryCtx::off(),
-            &controls,
+            &RunControls::default(),
         )
         .unwrap();
-        assert!(outcome.all_ok());
-        assert_eq!(peak.load(Ordering::SeqCst), 1, "budget of 1 must serialize");
+        assert!(!resumed.cancelled);
+        let a = resumed.report("t/a").unwrap();
+        assert!(a.resumed, "journaled cell must be restored");
+        assert_eq!(a.attempts, 0, "journaled cell must not re-run");
+        for cell in ["t/b", "t/c"] {
+            let r = resumed.report(cell).unwrap();
+            assert!(!r.resumed && r.attempts >= 1, "{cell} must run");
+            assert!(r.outcome.is_ok(), "{cell}: {:?}", r.outcome);
+        }
+        assert_eq!(journal.records().count(), 3);
+        assert!(journal.records().all(|r| r.ok));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -66,7 +66,6 @@ pub mod predictability;
 pub mod report;
 pub mod runner;
 pub mod sample;
-pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table4;

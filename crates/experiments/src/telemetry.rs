@@ -24,8 +24,7 @@
 //!
 //! * `<dir>/<tool>.manifest.json` — the [`RunManifest`]: configuration and
 //!   per-run counters copied from the simulator's own statistics, span
-//!   timings, the metrics snapshot, and (for sampled campaigns) the
-//!   progress time series;
+//!   timings, and the metrics snapshot;
 //! * `<dir>/<tool>.events.jsonl` (events mode) — one JSON object per
 //!   mispredicted branch.
 //!
@@ -33,9 +32,8 @@
 //! can be overridden with `REPRO_TELEMETRY_DIR`.
 //!
 //! There is deliberately no process-global "active hub" anymore: two
-//! sessions can coexist in one process with different configurations
-//! (the refactor the planned `repro-serve` daemon requires), and a
-//! library caller that wants no telemetry passes [`TelemetryCtx::off`]
+//! sessions can coexist in one process with different configurations,
+//! and a library caller that wants no telemetry passes [`TelemetryCtx::off`]
 //! instead of mutating the environment.
 
 use crate::runner::Scale;
@@ -43,7 +41,7 @@ use branch_predictors::BranchClassStats;
 use sim_isa::BranchClass;
 use sim_telemetry::{
     write_jsonl, CellRecord, Event, EventSink, HotProfiler, Json, MetricsRegistry, RunManifest,
-    RunRecord, SampleRow, SpanRegistry,
+    RunRecord, SpanRegistry,
 };
 
 pub use sim_telemetry::{ProfMode, TelemetryConfig, TelemetryMode};
@@ -91,8 +89,6 @@ struct State {
     events: Vec<(String, Event)>,
     /// Cell outcomes reported by the jobs runner.
     cells: Vec<CellRecord>,
-    /// Fixed-tick campaign snapshots pushed by the campaign heartbeat.
-    timeseries: Vec<SampleRow>,
     /// Campaign correlation id, stamped into the manifest when set.
     trace_id: String,
 }
@@ -201,15 +197,6 @@ impl Hub {
             .expect("hub state poisoned")
             .cells
             .push(record);
-    }
-
-    /// Appends one heartbeat tick to the manifest's time series.
-    pub fn push_sample(&self, row: SampleRow) {
-        self.state
-            .lock()
-            .expect("hub state poisoned")
-            .timeseries
-            .push(row);
     }
 
     /// Records one completed functional or timing walk (`mode`) on the
@@ -434,7 +421,6 @@ impl Session {
         manifest.events_dropped = state.sinks.values().map(EventSink::dropped).sum();
         manifest.wall_ns = self.started.elapsed().as_nanos() as u64;
         manifest.hot_phases = hub.hot.snapshot();
-        manifest.timeseries = state.timeseries.clone();
         manifest.trace_id = state.trace_id.clone();
 
         // Stage-and-rename writes: a crash mid-write must never leave a

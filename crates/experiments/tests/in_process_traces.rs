@@ -4,11 +4,11 @@
 //!
 //! Campaigns generate every trace in process from `(benchmark, scale)`
 //! and write no trace files: `.strc` is made only on request, by
-//! `trace-pack record`. The variables of the retired on-disk trace store
-//! and of the retired sharded sampling driver are ignored rather than
-//! rejected, so older scripts that still set them keep working. A
-//! `truncate:` fault shortens the generated trace and the campaign still
-//! succeeds on the degraded trace.
+//! `trace-pack record`. The variables of the retired on-disk trace store,
+//! of the retired sharded sampling driver and of the retired campaign
+//! daemon are ignored rather than rejected, so older scripts that still
+//! set them keep working. A `truncate:` fault shortens the generated
+//! trace and the campaign still succeeds on the degraded trace.
 
 use experiments::runner::Scale;
 use sim_telemetry::json::{parse, Json};
@@ -83,6 +83,8 @@ fn retired_store_variables_are_ignored_and_no_trace_file_is_written() {
     let cwd = scratch("store-vars");
     let store_dir = scratch("store-dir");
     let sample_dir = scratch("sample-dir");
+    let serve_root = scratch("serve-root");
+    let addr_file = serve_root.join("addr");
     let with_vars = run_table4(
         &cwd,
         &[
@@ -92,6 +94,12 @@ fn retired_store_variables_are_ignored_and_no_trace_file_is_written() {
             ("REPRO_SAMPLE_EXACT", "off"),
             ("REPRO_SAMPLE_TOLERANCE_PP", "0.5"),
             ("REPRO_SAMPLE_DIR", sample_dir.to_str().unwrap()),
+            ("REPRO_SERVE_ADDR", "127.0.0.1:0"),
+            ("REPRO_SERVE_ADDR_FILE", addr_file.to_str().unwrap()),
+            ("REPRO_SERVE_QUEUE", "1"),
+            ("REPRO_SERVE_CLIENTS", "1"),
+            ("REPRO_SERVE_ROOT", serve_root.to_str().unwrap()),
+            ("REPRO_SERVE_READ_TIMEOUT_MS", "300"),
         ],
     );
     assert_eq!(
@@ -107,21 +115,21 @@ fn retired_store_variables_are_ignored_and_no_trace_file_is_written() {
     assert_eq!(
         tables(&with_vars),
         tables(&plain),
-        "the retired store and sampling variables changed the table output"
+        "the retired store, sampling and daemon variables changed the table output"
     );
 
     for dir in [&cwd, &store_dir, &plain_cwd] {
         let files = trace_files(dir);
         assert!(files.is_empty(), "a campaign wrote trace files: {files:?}");
     }
-    let written: Vec<_> = fs::read_dir(&sample_dir)
-        .expect("sampling dir readable")
-        .collect();
-    assert!(
-        written.is_empty(),
-        "a campaign wrote into the retired sampling dir: {written:?}"
-    );
-    for dir in [cwd, store_dir, sample_dir, plain_cwd] {
+    for (dir, what) in [(&sample_dir, "sampling dir"), (&serve_root, "daemon root")] {
+        let written: Vec<_> = fs::read_dir(dir).expect("retired dir readable").collect();
+        assert!(
+            written.is_empty(),
+            "a campaign wrote into the retired {what}: {written:?}"
+        );
+    }
+    for dir in [cwd, store_dir, sample_dir, serve_root, plain_cwd] {
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -1,5 +1,5 @@
 //! `repro-top --follow --strict` stall detection: a progress stream
-//! whose producer died (hung daemon, `kill -9`) stops growing, and the
+//! whose producer died (a hung process, `kill -9`) stops growing, and the
 //! follower must fail fast with exit 3 instead of redrawing forever.
 
 use sim_telemetry::{ProgressEvent, ProgressWriter};

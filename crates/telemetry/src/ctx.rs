@@ -4,8 +4,8 @@
 //! [`TelemetryConfig`] (and the session context the experiments crate
 //! builds from it) — never against `std::env` directly. That keeps the
 //! knob surface auditable in one struct, makes sessions independent
-//! (two campaigns in one process can run different configs, which the
-//! planned `repro-serve` daemon requires), and keeps the strict-parse
+//! (two sessions in one process can run different configs), and keeps
+//! the strict-parse
 //! policy uniform: a typo in any knob is a loud error listing the
 //! accepted values, not silently discarded telemetry.
 //!

@@ -1,16 +1,15 @@
 //! The always-on flight recorder: a fixed-size in-memory ring of recent
 //! structured events, dumped to disk only when something goes wrong.
 //!
-//! Every campaign (and every `repro-serve` request) keeps one
-//! [`FlightRecorder`] rendering its lifecycle stream ([`CampaignSink`]):
-//! cell starts, retries, attempt failures, deadline kills, and outcomes
-//! go into a bounded ring. In steady state
+//! Every campaign keeps one [`FlightRecorder`] rendering its lifecycle
+//! stream ([`CampaignSink`]): cell starts, retries, attempt failures,
+//! deadline kills, and outcomes go into a bounded ring. In steady state
 //! the recorder costs one short mutex acquisition per event and writes
 //! nothing; on a triggering condition — panic, cell failure after
-//! retries, a deadline sweep, or a SIGTERM drain — [`FlightRecorder::dump`]
-//! writes the ring's contents atomically to
-//! `results/flightrec/<run-id>.flight.jsonl`, so post-mortems no longer
-//! depend on having enabled `REPRO_PROGRESS` beforehand.
+//! retries, or a deadline sweep — [`FlightRecorder::dump`] writes the
+//! ring's contents atomically to `results/flightrec/<run-id>.flight.jsonl`,
+//! so post-mortems no longer depend on having enabled `REPRO_PROGRESS`
+//! beforehand.
 //!
 //! The dump is single-writer by construction: every trigger rewrites the
 //! same per-run path through [`crate::fsio::atomic_write_str`] (tmp +
@@ -73,8 +72,8 @@ struct RecorderInner {
 
 /// A bounded ring of recent events plus the dump path it drains to.
 ///
-/// Clones share the same ring (`Arc`-backed), so the serve layer, the
-/// jobs pool, and the panic hook can all record into one recorder.
+/// Clones share the same ring (`Arc`-backed), so the jobs pool and the
+/// panic hook can both reach one recorder.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
@@ -296,8 +295,8 @@ pub fn arm(recorder: &FlightRecorder) -> ArmedGuard {
     ArmedGuard(token)
 }
 
-/// Dumps every armed recorder (panic hook, SIGTERM drain). Returns the
-/// paths written.
+/// Dumps every armed recorder (the pool's panic hook calls this when a
+/// thread outside the cell fence panics). Returns the paths written.
 pub fn dump_armed(reason: &str) -> Vec<PathBuf> {
     let recorders: Vec<FlightRecorder> = match armed().lock() {
         Ok(list) => list.iter().map(|(_, r)| r.clone()).collect(),
@@ -402,10 +401,10 @@ mod tests {
         let dir = scratch("armed");
         let _ = std::fs::remove_dir_all(&dir);
         let rec = FlightRecorder::new(&dir, "r9", "tr-0000000000000003", 4);
-        rec.record("admission", [("id", Json::from("req-1"))]);
+        rec.record("cell-started", [("cell", Json::from("t/a"))]);
         {
             let _guard = arm(&rec);
-            let paths = dump_armed("sigterm-drain");
+            let paths = dump_armed("panic");
             assert!(paths.contains(&flight_path(&dir, "r9")));
         }
         // Guard dropped → disarmed → later sweeps skip it.

@@ -1,11 +1,10 @@
 //! Correlation identifiers joining every artifact of one run.
 //!
-//! A [`TraceId`] is minted once per campaign (or per `repro-serve`
-//! request) and then written into every artifact the run produces — the
-//! progress stream's `campaign-started` event, the journal header, the
-//! run manifest, the flight-recorder dump, the Chrome trace export, and
-//! the `/status` response — so one grep over `results/` joins all the
-//! silos for a run:
+//! A [`TraceId`] is minted once per campaign and then written into every
+//! artifact the run produces — the progress stream's `campaign-started`
+//! event, the journal header, the run manifest, the flight-recorder
+//! dump, and the Chrome trace export — so one grep over `results/` joins
+//! all the silos for a run:
 //!
 //! ```text
 //! $ grep -r tr-9f2ab04c71d3e586 results/
@@ -17,13 +16,13 @@
 //! Ids are minted from a SplitMix64 stream seeded with the wall clock,
 //! the process id, and a process-global counter: unique across
 //! processes and across mints within one process, with no RNG
-//! dependency. [`SpanId`] is the short per-unit form (one cell attempt,
-//! one HTTP request) carried inside a trace.
+//! dependency. [`SpanId`] is the short per-unit form (one cell attempt)
+//! carried inside a trace.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A campaign/request-scoped correlation id: `tr-` + 16 hex digits.
+/// A campaign-scoped correlation id: `tr-` + 16 hex digits.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(u64);
 

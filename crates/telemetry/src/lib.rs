@@ -7,9 +7,9 @@
 //! depend on it without dragging anything external into the build. It
 //! provides four instruments:
 //!
-//! - [`MetricsRegistry`] — named [`Counter`]s and log2-bucketed
-//!   [`Histogram`]s behind `Arc`-backed handles; one relaxed atomic add
-//!   per event, safe on simulator hot paths.
+//! - [`MetricsRegistry`] — named [`Counter`]s behind `Arc`-backed
+//!   handles; one relaxed atomic add per event, safe on simulator hot
+//!   paths.
 //! - [`EventSink`] / [`Event`] — a bounded ring of structured events
 //!   (per-branch mispredict records), serialized as
 //!   JSONL by [`write_jsonl`].
@@ -28,7 +28,7 @@
 //!   progress stream, journal, manifest, flight dump, and trace export.
 //! - [`FlightRecorder`] — the always-on bounded ring of recent
 //!   structured events, dumped atomically on panic, cell failure,
-//!   deadline sweep, or drain ([`flight`]).
+//!   or deadline sweep ([`flight`]).
 //! - [`TraceCollector`] — Chrome trace-event export of cell lifecycles
 //!   and span phases, loadable in Perfetto ([`traceviz`]).
 //! - [`CampaignEvent`] / [`CampaignSink`] — the one campaign lifecycle
@@ -66,11 +66,8 @@ pub use fsio::{atomic_write, atomic_write_str};
 pub use id::{SpanId, TraceId};
 pub use json::Json;
 pub use lifecycle::{CampaignEvent, CampaignSink, CellTally};
-pub use manifest::{CellRecord, RunManifest, RunRecord, SampleRow};
-pub use metrics::{
-    bucket_bounds, bucket_index, check_prometheus_text, prometheus_name, Counter, Gauge, Histogram,
-    MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
-};
+pub use manifest::{CellRecord, RunManifest, RunRecord};
+pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use prof::{HotProfiler, PhaseStat, PhaseTimer, ProfMode};
 pub use progress::{
     eta_ms, parse_events, progress_path, read_events, ProgressEvent, ProgressStreamContents,

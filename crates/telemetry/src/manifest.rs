@@ -141,44 +141,6 @@ impl CellRecord {
     }
 }
 
-/// One fixed-tick snapshot of a running campaign, as captured by the
-/// campaign heartbeat into the manifest's `timeseries` section.
-///
-/// Rows give the manifest the same "phase behavior over time" lens the
-/// SimPoint line of work applies to programs: how throughput and cell
-/// completion evolved over the run, not just the final totals.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SampleRow {
-    /// Milliseconds since campaign start (monotonic clock).
-    pub t_ms: u64,
-    /// Cells with a final outcome at this tick.
-    pub done: u64,
-    /// Cells with an attempt in flight at this tick.
-    pub active: u64,
-    /// Cumulative values of key counters at this tick (subset of the
-    /// metrics registry).
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl SampleRow {
-    fn to_json(&self) -> Json {
-        obj([
-            ("t_ms", Json::from(self.t_ms)),
-            ("done", Json::from(self.done)),
-            ("active", Json::from(self.active)),
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::from(v)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// The manifest for one experiment invocation (one table binary run).
 #[derive(Clone, Debug, Default)]
 pub struct RunManifest {
@@ -208,9 +170,6 @@ pub struct RunManifest {
     pub wall_ns: u64,
     /// Hot-path phase totals (`REPRO_PROF=full` only; empty otherwise).
     pub hot_phases: Vec<PhaseStat>,
-    /// Fixed-tick campaign snapshots from the campaign heartbeat
-    /// (`REPRO_PROGRESS=on` campaigns only; empty otherwise).
-    pub timeseries: Vec<SampleRow>,
 }
 
 impl RunManifest {
@@ -360,14 +319,6 @@ impl RunManifest {
         }
         if let Some(sampling) = Self::sampling_json(metrics) {
             fields.insert("sampling".to_string(), sampling);
-        }
-        // Only campaigns with a heartbeat carry a time series;
-        // omitting the empty section keeps older manifests byte-stable.
-        if !self.timeseries.is_empty() {
-            fields.insert(
-                "timeseries".to_string(),
-                Json::Arr(self.timeseries.iter().map(SampleRow::to_json).collect()),
-            );
         }
         Json::Obj(fields)
     }
@@ -585,44 +536,6 @@ mod tests {
         assert!(
             (fraction - 61_440.0 / 401_408.0).abs() < 1e-12,
             "{fraction}"
-        );
-        assert!(parse(&v.to_string()).is_ok());
-    }
-
-    #[test]
-    fn timeseries_section_appears_only_when_sampled() {
-        let spans = SpanRegistry::new();
-        let registry = MetricsRegistry::new();
-
-        let mut m = RunManifest::new("repro_all");
-        let v = m.to_json(&spans, &registry.snapshot());
-        assert!(v.get("timeseries").is_none());
-
-        m.timeseries.push(SampleRow {
-            t_ms: 1000,
-            done: 3,
-            active: 4,
-            counters: BTreeMap::from([("harness.instructions".to_string(), 300_000u64)]),
-        });
-        m.timeseries.push(SampleRow {
-            t_ms: 2000,
-            done: 9,
-            active: 4,
-            counters: BTreeMap::from([("harness.instructions".to_string(), 900_000u64)]),
-        });
-        let v = m.to_json(&spans, &registry.snapshot());
-        let rows = v.get("timeseries").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("t_ms").unwrap().as_u64(), Some(1000));
-        assert_eq!(rows[1].get("done").unwrap().as_u64(), Some(9));
-        assert_eq!(
-            rows[1]
-                .get("counters")
-                .unwrap()
-                .get("harness.instructions")
-                .unwrap()
-                .as_u64(),
-            Some(900_000)
         );
         assert!(parse(&v.to_string()).is_ok());
     }

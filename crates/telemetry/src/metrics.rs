@@ -1,9 +1,9 @@
-//! Named counters and log2-bucketed histograms behind cheap handles.
+//! Named counters behind cheap handles.
 //!
-//! The registry owns the name → instrument mapping; the handles it hands
-//! out ([`Counter`], [`Histogram`]) are `Arc`-backed and cost one relaxed
-//! atomic add per event, so they can sit on simulator hot paths. Cloning a
-//! handle is cheap and all clones observe the same instrument.
+//! The registry owns the name → counter mapping; the [`Counter`] handles
+//! it hands out are `Arc`-backed and cost one relaxed atomic add per
+//! event, so they can sit on simulator hot paths. Cloning a handle is
+//! cheap and all clones observe the same counter.
 
 use crate::json::{obj, Json};
 use std::collections::BTreeMap;
@@ -38,181 +38,14 @@ impl Counter {
     }
 }
 
-/// Number of histogram buckets: one per power of two of `u64`, plus the
-/// zero bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-#[derive(Debug)]
-struct HistogramInner {
-    /// `buckets[0]` counts zero samples; `buckets[k]` (k ≥ 1) counts
-    /// samples whose value `v` has `v.ilog2() == k - 1`, i.e. the range
-    /// `[2^(k-1), 2^k)`.
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-/// A log2-bucketed histogram of `u64` samples.
-///
-/// Bucketing by the sample's bit length keeps recording to a handful of
-/// instructions while still answering the questions telemetry asks of
-/// latencies and magnitudes ("how many mispredict bursts exceeded 2^10?").
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }))
-    }
-}
-
-/// The index of the bucket a value falls in: 0 for 0, else
-/// `value.ilog2() + 1`.
-pub fn bucket_index(value: u64) -> usize {
-    match value {
-        0 => 0,
-        v => v.ilog2() as usize + 1,
-    }
-}
-
-/// The `[lo, hi]` value range of a bucket index.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
-    assert!(index < HISTOGRAM_BUCKETS, "bucket index out of range");
-    match index {
-        0 => (0, 0),
-        64 => (1 << 63, u64::MAX),
-        k => (1 << (k - 1), (1 << k) - 1),
-    }
-}
-
-impl Histogram {
-    /// Creates a detached histogram (not owned by any registry).
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        let inner = &*self.0;
-        inner.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        inner.sum.fetch_add(value, Ordering::Relaxed);
-        inner.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (wrapping on overflow).
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest sample recorded (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.0.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample value (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// A copy of the raw bucket counts.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed))
-    }
-
-    fn to_json(&self) -> Json {
-        let buckets = self.buckets();
-        // Only emit occupied buckets, keyed by their lower bound.
-        let nonzero: Vec<Json> = buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let (lo, hi) = bucket_bounds(i);
-                obj([
-                    ("lo", Json::from(lo)),
-                    ("hi", Json::from(hi)),
-                    ("count", Json::from(n)),
-                ])
-            })
-            .collect();
-        obj([
-            ("count", Json::from(self.count())),
-            ("sum", Json::from(self.sum())),
-            ("max", Json::from(self.max())),
-            ("buckets", Json::Arr(nonzero)),
-        ])
-    }
-}
-
-/// A named value that can go up and down (queue depth, busy workers).
-///
-/// Stored as a `u64` because every gauge in the system is a count of
-/// things; `set` replaces, `inc`/`dec` adjust (saturating at zero).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Creates a detached gauge (not owned by any registry).
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Replaces the value.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Subtracts one, saturating at zero.
-    #[inline]
-    pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
-/// A registry of named [`Counter`]s and [`Histogram`]s.
+/// A registry of named [`Counter`]s.
 ///
-/// Instrument lookup takes a lock; the returned handles do not. Register
+/// Counter lookup takes a lock; the returned handles do not. Register
 /// once at setup time, then increment lock-free on the hot path.
 ///
 /// # Example
@@ -242,25 +75,7 @@ impl MetricsRegistry {
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 
-    /// Returns the gauge registered under `name`, creating it on first
-    /// use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.0.lock().expect("metrics registry poisoned");
-        inner.gauges.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Returns the histogram registered under `name`, creating it on
-    /// first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.0.lock().expect("metrics registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// A point-in-time copy of every instrument's value.
+    /// A point-in-time copy of every counter's value.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.0.lock().expect("metrics registry poisoned");
         MetricsSnapshot {
@@ -268,16 +83,6 @@ impl MetricsRegistry {
                 .counters
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
     }
@@ -287,8 +92,6 @@ impl MetricsRegistry {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsSnapshot {
@@ -297,25 +100,12 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The value of a gauge (0 if never registered).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Whether nothing was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
     }
 
-    /// The snapshot as a JSON object: counter name → value, histogram
-    /// name → `{count, sum, max, buckets}`. A `gauges` section appears
-    /// only when at least one gauge was registered, so manifests from
-    /// gauge-free tools keep their historical shape.
+    /// The snapshot as a JSON object: `{"counters": {name: value}}`.
     pub fn to_json(&self) -> Json {
         let counters = Json::Obj(
             self.counters
@@ -323,267 +113,8 @@ impl MetricsSnapshot {
                 .map(|(k, &v)| (k.clone(), Json::from(v)))
                 .collect(),
         );
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.to_json()))
-                .collect(),
-        );
-        let json = obj([("counters", counters), ("histograms", histograms)]);
-        if self.gauges.is_empty() {
-            return json;
-        }
-        let Json::Obj(mut fields) = json else {
-            unreachable!("obj() builds an object");
-        };
-        fields.insert(
-            "gauges".to_string(),
-            Json::Obj(
-                self.gauges
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Json::from(v)))
-                    .collect(),
-            ),
-        );
-        Json::Obj(fields)
+        obj([("counters", counters)])
     }
-
-    /// The snapshot in Prometheus text exposition format 0.0.4: every
-    /// counter as a `counter` family, every gauge as a `gauge`, and
-    /// every histogram as a full `histogram` family with cumulative
-    /// `le`-labeled `_bucket` series (upper bounds taken from the log2
-    /// bucket boundaries), `_sum`, and `_count`. Metric names are
-    /// sanitized (`serve.queue_depth` → `serve_queue_depth`); the text
-    /// always ends with a newline, as scrapers require.
-    pub fn to_prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, &value) in &self.counters {
-            let name = prometheus_name(name);
-            let _ = writeln!(out, "# HELP {name} Monotonic event count.");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, &value) in &self.gauges {
-            let name = prometheus_name(name);
-            let _ = writeln!(out, "# HELP {name} Current level.");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, histogram) in &self.histograms {
-            let name = prometheus_name(name);
-            let _ = writeln!(out, "# HELP {name} Log2-bucketed sample distribution.");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            // Copy all values once: the handles are live, and the
-            // exposition's +Inf bucket and _count must agree even if a
-            // worker records mid-render.
-            let buckets = histogram.buckets();
-            let sum = histogram.sum();
-            let count: u64 = buckets.iter().sum();
-            // Emit one cumulative bucket per occupied power of two (and
-            // every bucket below the highest occupied one, so the series
-            // is a proper CDF), then +Inf.
-            let highest = buckets.iter().rposition(|&n| n > 0);
-            let mut cumulative = 0u64;
-            if let Some(highest) = highest {
-                for (index, &bucket_count) in buckets.iter().enumerate().take(highest + 1) {
-                    cumulative += bucket_count;
-                    let (_, le) = bucket_bounds(index);
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                }
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-            let _ = writeln!(out, "{name}_sum {sum}");
-            let _ = writeln!(out, "{name}_count {count}");
-        }
-        out
-    }
-}
-
-/// Sanitizes a dotted instrument name into the Prometheus identifier
-/// charset `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn prometheus_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '_' | ':' => c,
-            _ => '_',
-        })
-        .collect();
-    if out.is_empty() || out.starts_with(|c: char| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// Strictly checks a Prometheus text-format 0.0.4 exposition: name
-/// syntax, `# TYPE` declarations preceding their samples, no duplicate
-/// series, cumulative non-decreasing histogram `_bucket` series ending
-/// in `+Inf` with a matching `_count`, and a trailing newline. Returns
-/// the number of sample lines on success, the first violation
-/// otherwise.
-///
-/// This is the shared test helper behind the `/metrics` contract tests;
-/// it intentionally rejects anything a real scraper would have to
-/// guess about.
-pub fn check_prometheus_text(text: &str) -> Result<usize, String> {
-    if text.is_empty() {
-        return Err("exposition is empty".into());
-    }
-    if !text.ends_with('\n') {
-        return Err("exposition does not end with a newline".into());
-    }
-    fn is_name(s: &str) -> bool {
-        !s.is_empty()
-            && s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    /// The family a series belongs to: `x_bucket`/`x_sum`/`x_count`
-    /// resolve to `x` when `x` was declared a histogram.
-    fn family<'a>(series: &'a str, types: &BTreeMap<String, String>) -> &'a str {
-        for suffix in ["_bucket", "_sum", "_count"] {
-            if let Some(base) = series.strip_suffix(suffix) {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    return base;
-                }
-            }
-        }
-        series
-    }
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
-    let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    // Per-histogram bucket state: (last le upper bound, last cumulative
-    // count, saw +Inf, count series value).
-    #[derive(Default)]
-    struct HistState {
-        last_le: Option<f64>,
-        last_cumulative: u64,
-        inf: Option<u64>,
-        count: Option<u64>,
-    }
-    let mut hists: BTreeMap<String, HistState> = BTreeMap::new();
-    let mut samples = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let at = |what: &str| format!("line {}: {what}", i + 1);
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let mut parts = comment.split_whitespace();
-            match parts.next() {
-                Some("TYPE") => {
-                    let name = parts.next().ok_or_else(|| at("# TYPE without a name"))?;
-                    if !is_name(name) {
-                        return Err(at(&format!("invalid metric name {name:?}")));
-                    }
-                    let kind = parts.next().ok_or_else(|| at("# TYPE without a type"))?;
-                    if !["counter", "gauge", "histogram", "summary", "untyped"].contains(&kind) {
-                        return Err(at(&format!("unknown metric type {kind:?}")));
-                    }
-                    if types.insert(name.to_string(), kind.to_string()).is_some() {
-                        return Err(at(&format!("duplicate # TYPE for {name}")));
-                    }
-                }
-                Some("HELP") => {
-                    let name = parts.next().ok_or_else(|| at("# HELP without a name"))?;
-                    if !is_name(name) {
-                        return Err(at(&format!("invalid metric name {name:?}")));
-                    }
-                }
-                _ => {} // free-form comment
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value [timestamp]
-        let (series, rest) = match line.find('{') {
-            Some(open) => {
-                let close = line[open..]
-                    .find('}')
-                    .map(|j| open + j)
-                    .ok_or_else(|| at("unclosed label braces"))?;
-                (&line[..open], line[close + 1..].trim_start())
-            }
-            None => {
-                let mut it = line.splitn(2, [' ', '\t']);
-                let name = it.next().unwrap_or("");
-                (name, it.next().unwrap_or("").trim_start())
-            }
-        };
-        if !is_name(series) {
-            return Err(at(&format!("invalid series name {series:?}")));
-        }
-        let value_text = rest
-            .split_whitespace()
-            .next()
-            .ok_or_else(|| at("sample without a value"))?;
-        let value: f64 = value_text
-            .parse()
-            .map_err(|_| at(&format!("unparseable sample value {value_text:?}")))?;
-        let base = family(series, &types);
-        let declared = types
-            .get(base)
-            .ok_or_else(|| at(&format!("sample for {series} precedes its # TYPE")))?;
-        if !seen.insert(line.split_whitespace().next().unwrap_or(line).to_string()) {
-            return Err(at(&format!("duplicate series {series}")));
-        }
-        if declared == "histogram" {
-            let state = hists.entry(base.to_string()).or_default();
-            if series.ends_with("_bucket") {
-                let le_text = line
-                    .split("le=\"")
-                    .nth(1)
-                    .and_then(|s| s.split('"').next())
-                    .ok_or_else(|| at("histogram bucket without an le label"))?;
-                if value < 0.0 || value.fract() != 0.0 {
-                    return Err(at("bucket counts must be non-negative integers"));
-                }
-                let cumulative = value as u64;
-                if cumulative < state.last_cumulative {
-                    return Err(at(&format!(
-                        "bucket series for {base} is not cumulative ({cumulative} < {})",
-                        state.last_cumulative
-                    )));
-                }
-                if le_text == "+Inf" {
-                    state.inf = Some(cumulative);
-                } else {
-                    let le: f64 = le_text
-                        .parse()
-                        .map_err(|_| at(&format!("unparseable le bound {le_text:?}")))?;
-                    if state.inf.is_some() {
-                        return Err(at(&format!("bucket after +Inf for {base}")));
-                    }
-                    if let Some(prev) = state.last_le {
-                        if le <= prev {
-                            return Err(at(&format!(
-                                "le bounds for {base} not increasing ({le} after {prev})"
-                            )));
-                        }
-                    }
-                    state.last_le = Some(le);
-                }
-                state.last_cumulative = cumulative;
-            } else if series.ends_with("_count") {
-                state.count = Some(value as u64);
-            }
-        }
-        samples += 1;
-    }
-    for (name, state) in &hists {
-        let inf = state
-            .inf
-            .ok_or_else(|| format!("histogram {name} has no +Inf bucket"))?;
-        let count = state
-            .count
-            .ok_or_else(|| format!("histogram {name} has no _count series"))?;
-        if inf != count {
-            return Err(format!(
-                "histogram {name}: +Inf bucket ({inf}) disagrees with _count ({count})"
-            ));
-        }
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]
@@ -602,210 +133,15 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_edges() {
-        // The exact edges: 0, 1, powers of two and their predecessors.
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 3);
-        assert_eq!(bucket_index(8), 4);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_index(1 << 63), 64);
-        assert_eq!(bucket_index((1 << 63) - 1), 63);
-    }
-
-    #[test]
-    fn bucket_bounds_partition_the_domain() {
-        // Every bucket's hi + 1 is the next bucket's lo; together they
-        // cover u64 without gaps or overlaps.
-        for k in 0..HISTOGRAM_BUCKETS - 1 {
-            let (_, hi) = bucket_bounds(k);
-            let (next_lo, _) = bucket_bounds(k + 1);
-            assert_eq!(
-                hi.wrapping_add(1),
-                next_lo,
-                "gap between buckets {k} and {}",
-                k + 1
-            );
-        }
-        assert_eq!(bucket_bounds(0), (0, 0));
-        assert_eq!(bucket_bounds(64).1, u64::MAX);
-        // Values land inside their claimed bounds.
-        for v in [0u64, 1, 2, 3, 4, 100, 1 << 20, u64::MAX] {
-            let (lo, hi) = bucket_bounds(bucket_index(v));
-            assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn histogram_aggregates() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 1, 5, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1007);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 201.4).abs() < 1e-9);
-        let buckets = h.buckets();
-        assert_eq!(buckets[0], 1); // the zero
-        assert_eq!(buckets[1], 2); // the two ones
-        assert_eq!(buckets[3], 1); // 5 in [4, 8)
-        assert_eq!(buckets[10], 1); // 1000 in [512, 1024)
-    }
-
-    #[test]
     fn snapshot_serializes_to_parseable_json() {
         let r = MetricsRegistry::new();
         r.counter("a.b").add(7);
-        r.histogram("h").record(42);
         let text = r.snapshot().to_json().to_string();
         let v = crate::json::parse(&text).expect("snapshot json parses");
         assert_eq!(
             v.get("counters").unwrap().get("a.b").unwrap().as_u64(),
             Some(7)
         );
-        assert_eq!(
-            v.get("histograms")
-                .unwrap()
-                .get("h")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_zero() {
-        assert_eq!(Histogram::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn gauges_move_both_ways_and_saturate() {
-        let r = MetricsRegistry::new();
-        let g = r.gauge("queue_depth");
-        g.set(3);
-        g.inc();
-        g.dec();
-        g.dec();
-        assert_eq!(r.snapshot().gauge("queue_depth"), 2);
-        g.dec();
-        g.dec();
-        g.dec();
-        assert_eq!(g.get(), 0, "dec saturates at zero");
-        let v = r.snapshot().to_json();
-        assert_eq!(
-            v.get("gauges")
-                .unwrap()
-                .get("queue_depth")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
-        // Gauge-free snapshots keep the historical two-section shape.
-        let bare = MetricsRegistry::new();
-        bare.counter("c").inc();
-        assert!(bare.snapshot().to_json().get("gauges").is_none());
-    }
-
-    #[test]
-    fn prometheus_names_are_sanitized() {
-        assert_eq!(prometheus_name("serve.queue_depth"), "serve_queue_depth");
-        assert_eq!(prometheus_name("a-b c"), "a_b_c");
-        assert_eq!(prometheus_name("9lives"), "_9lives");
-        assert_eq!(prometheus_name(""), "_");
-    }
-
-    #[test]
-    fn prometheus_text_round_trips_through_the_strict_checker() {
-        let r = MetricsRegistry::new();
-        r.counter("serve.requests").add(7);
-        r.gauge("serve.queue_depth").set(3);
-        let h = r.histogram("serve.request_latency_ms");
-        for v in [0u64, 1, 3, 700] {
-            h.record(v);
-        }
-        let text = r.snapshot().to_prometheus_text();
-        assert!(text.ends_with('\n'));
-        let samples = check_prometheus_text(&text).expect("strict checker accepts");
-        // 1 counter + 1 gauge + (11 buckets + Inf + sum + count).
-        assert!(samples >= 6, "{samples} samples:\n{text}");
-        assert!(text.contains("# TYPE serve_requests counter"), "{text}");
-        assert!(text.contains("# TYPE serve_queue_depth gauge"), "{text}");
-        assert!(
-            text.contains("# TYPE serve_request_latency_ms histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("serve_request_latency_ms_bucket{le=\"+Inf\"} 4"),
-            "{text}"
-        );
-        assert!(text.contains("serve_request_latency_ms_sum 704"), "{text}");
-        assert!(text.contains("serve_request_latency_ms_count 4"), "{text}");
-        // The cumulative bucket at le=0 holds only the zero sample; at
-        // le=1 the one; at le=3 the three.
-        assert!(text.contains("serve_request_latency_ms_bucket{le=\"0\"} 1"));
-        assert!(text.contains("serve_request_latency_ms_bucket{le=\"1\"} 2"));
-        assert!(text.contains("serve_request_latency_ms_bucket{le=\"3\"} 3"));
-    }
-
-    #[test]
-    fn checker_rejects_malformed_expositions() {
-        // No trailing newline.
-        assert!(check_prometheus_text("# TYPE a counter\na 1").is_err());
-        // Sample before its TYPE.
-        let err = check_prometheus_text("a 1\n# TYPE a counter\n").unwrap_err();
-        assert!(err.contains("precedes"), "{err}");
-        // Duplicate series.
-        let err = check_prometheus_text("# TYPE a counter\na 1\na 2\n").unwrap_err();
-        assert!(err.contains("duplicate series"), "{err}");
-        // Duplicate TYPE.
-        let err = check_prometheus_text("# TYPE a counter\n# TYPE a gauge\na 1\n").unwrap_err();
-        assert!(err.contains("duplicate # TYPE"), "{err}");
-        // Unknown type.
-        assert!(check_prometheus_text("# TYPE a exotic\na 1\n").is_err());
-        // Invalid name.
-        assert!(check_prometheus_text("# TYPE a.b counter\na.b 1\n").is_err());
-        // Unparseable value.
-        assert!(check_prometheus_text("# TYPE a counter\na one\n").is_err());
-        // Non-cumulative histogram buckets.
-        let err = check_prometheus_text(
-            "# TYPE h histogram\n\
-             h_bucket{le=\"1\"} 5\n\
-             h_bucket{le=\"2\"} 3\n\
-             h_bucket{le=\"+Inf\"} 5\n\
-             h_sum 9\nh_count 5\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("not cumulative"), "{err}");
-        // le bounds must increase.
-        let err = check_prometheus_text(
-            "# TYPE h histogram\n\
-             h_bucket{le=\"2\"} 1\n\
-             h_bucket{le=\"1\"} 2\n\
-             h_bucket{le=\"+Inf\"} 2\n\
-             h_sum 3\nh_count 2\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("not increasing"), "{err}");
-        // Missing +Inf.
-        let err =
-            check_prometheus_text("# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n")
-                .unwrap_err();
-        assert!(err.contains("+Inf"), "{err}");
-        // +Inf and _count must agree.
-        let err = check_prometheus_text(
-            "# TYPE h histogram\n\
-             h_bucket{le=\"+Inf\"} 2\n\
-             h_sum 3\nh_count 3\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("disagrees"), "{err}");
+        assert!(v.get("histograms").is_none());
     }
 }

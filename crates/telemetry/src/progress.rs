@@ -639,8 +639,8 @@ mod tests {
     #[test]
     fn every_failing_stream_reports_its_own_write_failure() {
         // Two streams on a full device in one process: the first one's
-        // warning must not silence the second's (a daemon serves many
-        // campaigns), and heartbeats take the same reporting path.
+        // warning must not silence the second's, and heartbeats take the
+        // same reporting path.
         let dir = std::env::temp_dir().join(format!("sim-progress-full-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -81,8 +81,8 @@ impl Workload {
 
     /// The canonical generator seed. Together with the program (named by
     /// the benchmark), the budget, and [`GENERATOR_VERSION`] this fully
-    /// determines a generated trace — which is exactly the content
-    /// address the `sim-trace` store caches under.
+    /// determines a generated trace, which is why `trace-pack record`
+    /// names `.strc` files by all four.
     pub fn seed(&self) -> u64 {
         self.seed
     }
