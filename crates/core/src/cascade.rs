@@ -24,7 +24,7 @@ use sim_isa::Addr;
 use std::collections::HashMap;
 
 /// Configuration of a [`CascadedPredictor`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CascadeConfig {
     /// The second-stage target cache.
     pub cache: TargetCacheConfig,

@@ -41,7 +41,7 @@ use branch_predictors::{
 use sim_isa::{Addr, BranchClass, DynInstr};
 
 /// How indirect-jump targets are predicted.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum IndirectPredictor {
     /// The BTB's last-computed target (the paper's baseline).
     #[default]
@@ -58,7 +58,7 @@ pub enum IndirectPredictor {
 }
 
 /// Configuration of the full front end.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FrontEndConfig {
     /// BTB geometry and update policy.
     pub btb: BtbConfig,

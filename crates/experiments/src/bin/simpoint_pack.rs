@@ -15,7 +15,7 @@ use sim_isa::VecTrace;
 use simpoint::{cluster, ClusterConfig, PhaseMap};
 use std::path::Path;
 use std::process::exit;
-use target_cache::harness::FrontEndConfig;
+use target_cache::harness::{FrontEndConfig, PredictionHarness};
 
 const USAGE: &str = "usage: simpoint-pack fingerprint <trace.strc>\n\
        simpoint-pack cluster <trace.strc> [--seed N] [--max-k N] [--out map.json]\n\
@@ -148,8 +148,9 @@ fn main() {
                 sample::WARMUP_RECORDS,
                 frontend,
             );
-            let exact = experiments::runner::functional(&ctx, &trace, frontend)
-                .indirect_jump_misprediction_rate();
+            let mut harness = PredictionHarness::new(frontend);
+            harness.run(&trace);
+            let exact = harness.stats().indirect_jump_misprediction_rate();
             let abs_err_pp = (sampled - exact).abs() * 100.0;
             println!(
                 "{path}: exact {:.2}%  sampled {:.2}%  abs err {:.3} pp  ({} phases over {} chunks)",

@@ -97,17 +97,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         .clone()
         .unwrap_or_else(|| env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool)));
 
-    let tasks: Vec<CellTask> = defs
-        .iter()
-        .flat_map(|def| {
-            let (name, cell) = (def.name, def.cell);
-            let ctx = ctx.clone();
-            (def.labels)().into_iter().map(move |label| {
-                let ctx = ctx.clone();
-                CellTask::new(cell_id(name, label), move || cell(&ctx, label, scale))
-            })
-        })
-        .collect();
+    let tasks = cell_tasks(defs, &ctx.memoized(config.workers), scale);
 
     let campaign = Campaign::open(
         &session,
@@ -147,6 +137,34 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
     }
 
     epilogue(tool, &run_id, scale, &journal_dir, &outcome)
+}
+
+/// One task per `(experiment × label)` cell of `defs`, queued
+/// benchmark-major: every cell of a label, in registry order, before the
+/// first cell of the next label. Each task hands its cell `ctx` for that
+/// cell, so under a memoized context the cells of one benchmark share its
+/// trace and walks while it is live (see `runner::Memo`).
+/// Rendering reads cells by id, so output does not depend on this order.
+pub fn cell_tasks(defs: &[ExperimentDef], ctx: &TelemetryCtx, scale: Scale) -> Vec<CellTask> {
+    let mut cells: Vec<(&'static str, &ExperimentDef)> = defs
+        .iter()
+        .flat_map(|def| (def.labels)().into_iter().map(move |label| (label, def)))
+        .collect();
+    let mut labels: Vec<&str> = Vec::new();
+    for &(label, _) in &cells {
+        if !labels.contains(&label) {
+            labels.push(label);
+        }
+    }
+    cells.sort_by_key(|&(label, _)| labels.iter().position(|&l| l == label));
+    cells
+        .into_iter()
+        .map(|(label, def)| {
+            let id = cell_id(def.name, label);
+            let (ctx, cell) = (ctx.for_cell(&id), def.cell);
+            CellTask::new(id, move || cell(&ctx, label, scale))
+        })
+        .collect()
 }
 
 /// An open campaign: its journal, correlation id, and armed lifecycle

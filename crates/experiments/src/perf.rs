@@ -117,7 +117,7 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
             bench.workload().generate(budget).len() as u64
         }));
     }
-    let traces: BTreeMap<&'static str, Rc<sim_isa::VecTrace>> = Benchmark::ALL
+    let traces: BTreeMap<&'static str, Rc<runner::TraceHandle>> = Benchmark::ALL
         .iter()
         .map(|&b| (b.name(), Rc::new(runner::trace(ctx, b.workload(), scale))))
         .collect();

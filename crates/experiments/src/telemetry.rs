@@ -36,7 +36,7 @@
 //! and a library caller that wants no telemetry passes [`TelemetryCtx::off`]
 //! instead of mutating the environment.
 
-use crate::runner::Scale;
+use crate::runner::{Memo, Scale};
 use branch_predictors::BranchClassStats;
 use sim_isa::BranchClass;
 use sim_telemetry::{
@@ -91,6 +91,9 @@ struct State {
     cells: Vec<CellRecord>,
     /// Campaign correlation id, stamped into the manifest when set.
     trace_id: String,
+    /// The memo of the campaign this hub observes, whose counters and
+    /// hits the manifest reports.
+    memo: Option<Arc<Memo>>,
 }
 
 impl State {
@@ -202,7 +205,7 @@ impl Hub {
     /// Records one completed functional or timing walk (`mode`) on the
     /// named `machine`: copies the simulator's statistics into a manifest
     /// [`RunRecord`] and drains the event sink, attributing events to the
-    /// current benchmark.
+    /// current benchmark. Returns the record's id.
     #[allow(clippy::too_many_arguments)]
     pub fn finish_run(
         &self,
@@ -214,10 +217,11 @@ impl Hub {
         tc: Option<&TargetCacheStats>,
         cascade: Option<(u64, u64)>,
         wall_ns: u64,
-    ) {
+    ) -> String {
         let mut state = self.state.lock().expect("hub state poisoned");
         let label = state.label();
         let mut run = RunRecord::new(label.clone(), config);
+        run.id = format!("r{}", state.runs.len());
         run.mode = mode.to_string();
         run.machine = machine.to_string();
         run.instructions = instructions;
@@ -244,6 +248,7 @@ impl Hub {
             run.count("cascade.filtered", filtered);
             run.count("cascade.total", total);
         }
+        let id = run.id.clone();
         state.runs.push(run);
         if self.mode.events() {
             if let Some(sink) = state.sinks.get(&std::thread::current().id()).cloned() {
@@ -252,6 +257,7 @@ impl Hub {
                     .extend(sink.drain().into_iter().map(|e| (label.clone(), e)));
             }
         }
+        id
     }
 }
 
@@ -262,21 +268,59 @@ impl Hub {
 /// An *off* context (no hub) is the zero value: `runner` entry points
 /// handed one run uninstrumented, exactly as they used to with no hub
 /// installed. Cloning shares the underlying hub.
+///
+/// A campaign hands its cells a [`memoized`](TelemetryCtx::memoized)
+/// context, which also carries the campaign's memo (`runner::Memo`) and the id of
+/// the cell it was handed to. Every other context walks every request.
 #[derive(Clone, Default)]
 pub struct TelemetryCtx {
     hub: Option<Arc<Hub>>,
+    memo: Option<Arc<Memo>>,
+    cell: Option<Arc<str>>,
 }
 
 impl TelemetryCtx {
     /// A context that captures nothing — for library callers and tests
     /// with no session.
     pub fn off() -> TelemetryCtx {
-        TelemetryCtx { hub: None }
+        TelemetryCtx::default()
     }
 
     /// The hub behind this context, if telemetry is on.
     pub fn hub(&self) -> Option<&Arc<Hub>> {
         self.hub.as_ref()
+    }
+
+    /// This context with a fresh campaign memo that keeps at most
+    /// `workers` generated traces alive (see `runner::Memo`). The hub, if any,
+    /// reports the memo in its manifest.
+    pub fn memoized(&self, workers: usize) -> TelemetryCtx {
+        let memo = Arc::new(Memo::new(workers));
+        if let Some(hub) = &self.hub {
+            hub.state.lock().expect("hub state poisoned").memo = Some(Arc::clone(&memo));
+        }
+        TelemetryCtx {
+            memo: Some(memo),
+            ..self.clone()
+        }
+    }
+
+    /// The campaign memo this context shares, if it is memoized.
+    pub(crate) fn memo(&self) -> Option<&Arc<Memo>> {
+        self.memo.as_ref()
+    }
+
+    /// This context, handed to the cell `id` (named by memo hits).
+    pub(crate) fn for_cell(&self, id: &str) -> TelemetryCtx {
+        TelemetryCtx {
+            cell: Some(id.into()),
+            ..self.clone()
+        }
+    }
+
+    /// The cell this context was handed to (empty outside a campaign).
+    pub(crate) fn cell(&self) -> &str {
+        self.cell.as_deref().unwrap_or_default()
     }
 
     /// Whether any telemetry is captured at all.
@@ -378,6 +422,7 @@ impl Session {
     pub fn ctx(&self) -> TelemetryCtx {
         TelemetryCtx {
             hub: self.hub.clone(),
+            ..TelemetryCtx::default()
         }
     }
 
@@ -422,6 +467,7 @@ impl Session {
         manifest.wall_ns = self.started.elapsed().as_nanos() as u64;
         manifest.hot_phases = hub.hot.snapshot();
         manifest.trace_id = state.trace_id.clone();
+        manifest.memo = state.memo.as_ref().map(|memo| memo.section());
 
         // Stage-and-rename writes: a crash mid-write must never leave a
         // truncated manifest or event stream behind.

@@ -7,15 +7,22 @@
 //! `<experiment>/<label> <hex digest>`. Any change to a reported number —
 //! a table value, a figure bucket, a cost — fails this test by name.
 //!
+//! Both the naive per-cell computation and a memoized two-worker
+//! campaign are pinned to the same file.
+//!
 //! On a mismatch the test writes the digests it computed to
 //! `target/tmp/quick_cells.actual.txt`. When a change to the numbers is
 //! intended, review the failing cells and copy that file over the golden
 //! one by hand.
 
-use experiments::jobs::{registry, CellData};
+use experiments::jobs::cli::cell_tasks;
+use experiments::jobs::{
+    cell_id, registry, run_campaign, CellData, Journal, RunControls, RunnerConfig,
+};
 use experiments::runner::Scale;
-use experiments::telemetry::TelemetryCtx;
-use std::collections::BTreeMap;
+use experiments::telemetry::{self, TelemetryConfig, TelemetryCtx, TelemetryMode};
+use sim_telemetry::json::{parse, Json};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -56,6 +63,12 @@ fn quick_cells_match_the_golden_digest() {
         }
     }
 
+    assert_golden(&actual, "quick_cells.actual.txt");
+}
+
+/// Compares `actual` digests with the golden file; on a mismatch writes
+/// them to `<target tmp>/<out_name>` and fails naming the moved cells.
+fn assert_golden(actual: &str, out_name: &str) {
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_cells.txt");
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
@@ -63,9 +76,9 @@ fn quick_cells_match_the_golden_digest() {
         return;
     }
 
-    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("quick_cells.actual.txt");
-    std::fs::write(&out, &actual).expect("write actual digests");
-    let (want, got) = (lines_by_id(&golden), lines_by_id(&actual));
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(out_name);
+    std::fs::write(&out, actual).expect("write actual digests");
+    let (want, got) = (lines_by_id(&golden), lines_by_id(actual));
     let mut differing: Vec<&str> = want
         .iter()
         .filter(|(id, line)| got.get(*id) != Some(*line))
@@ -79,4 +92,77 @@ fn quick_cells_match_the_golden_digest() {
         differing.join(", "),
         out.display()
     );
+}
+
+/// The memoized campaign (two workers sharing walks and traces through
+/// one memo) reports exactly what the naive per-cell computation does,
+/// and it shares: no walk of the same trace under the same configuration
+/// runs twice, and each of the ten traces (eight SPECint95 benchmarks
+/// plus the two OO programs) is generated once.
+#[test]
+fn memoized_campaign_matches_the_golden_digest() {
+    let dir = std::env::temp_dir().join(format!("repro-golden-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = TelemetryConfig {
+        mode: TelemetryMode::Summary,
+        dir: dir.clone(),
+        ..TelemetryConfig::off()
+    };
+    let session = telemetry::session_with_config("memo-golden", Scale::Quick, config);
+    let manifest_path = session.manifest_path();
+    let ctx = session.ctx().memoized(2);
+    let defs = registry::all();
+    let tasks = cell_tasks(&defs, &ctx, Scale::Quick);
+    let mut journal = Journal::create(&dir, "memo", "memo-golden", Scale::Quick, tasks.len())
+        .expect("create journal");
+    let runner = RunnerConfig {
+        workers: 2,
+        ..RunnerConfig::default()
+    };
+    let outcome = run_campaign(tasks, &runner, &mut journal, &ctx, &RunControls::default())
+        .expect("campaign runs");
+
+    let mut actual = String::new();
+    for def in &defs {
+        for label in (def.labels)() {
+            let id = cell_id(def.name, label);
+            let report = outcome.report(&id).expect("every cell was scheduled");
+            let data = report.outcome.as_ref().expect("campaign cells all succeed");
+            actual.push_str(&format!("{id} {:016x}\n", digest(data)));
+        }
+    }
+    assert_golden(&actual, "quick_cells.memoized.actual.txt");
+
+    drop(ctx);
+    drop(session);
+    let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+    let manifest = parse(text.trim()).expect("manifest parses");
+    let runs = manifest.get("runs").and_then(Json::as_arr).expect("runs");
+    // A walk is identified by what it simulated and everything it
+    // counted: the manifest's config name leaves out the BTB and
+    // direction-predictor geometry, which the counters reflect.
+    let mut walked = BTreeSet::new();
+    for run in runs {
+        let key = [
+            "label",
+            "mode",
+            "machine",
+            "config",
+            "instructions",
+            "counters",
+        ]
+        .map(|field| run.get(field).map(ToString::to_string));
+        assert!(walked.insert(key), "walked twice: {run}");
+    }
+    let memo = manifest.get("memo").expect("memo section");
+    let count = |field: &str| memo.get(field).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("walks"), runs.len() as u64);
+    let traces: BTreeSet<_> = runs
+        .iter()
+        .filter_map(|r| r.get("label"))
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(traces.len(), 10, "{traces:?}");
+    assert_eq!(count("generations"), 10);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
 //! End-to-end contract of trace acquisition under the campaign driver,
 //! exercised through a real table binary (`table4`: two focus-benchmark
-//! cells, fast at quick scale).
+//! cells, fast at quick scale) and, for faults under the campaign memo,
+//! through quick `repro_all`.
 //!
 //! Campaigns generate every trace in process from `(benchmark, scale)`
 //! and write no trace files: `.strc` is made only on request, by
@@ -27,7 +28,12 @@ fn scratch(tag: &str) -> PathBuf {
 /// Runs the `table4` binary at quick scale in working directory `cwd`
 /// with a hermetic REPRO_* environment plus `envs`.
 fn run_table4(cwd: &Path, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table4"));
+    run_tool(env!("CARGO_BIN_EXE_table4"), cwd, envs)
+}
+
+/// Runs the campaign binary `bin` like [`run_table4`].
+fn run_tool(bin: &str, cwd: &Path, envs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(bin);
     for (var, _) in std::env::vars() {
         if var.starts_with("REPRO_") {
             cmd.env_remove(var);
@@ -40,7 +46,7 @@ fn run_table4(cwd: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn table4")
+    cmd.output().expect("spawn campaign binary")
 }
 
 fn stdout(out: &Output) -> String {
@@ -164,9 +170,50 @@ fn generation_truncation_shortens_the_trace_and_the_cell_succeeds() {
     );
     assert!(!text.contains("ERR("), "{text}");
 
-    // Every walk of perl saw half its budget; gcc was untouched.
-    let manifest =
-        fs::read_to_string(telemetry_dir.join("table4.manifest.json")).expect("manifest written");
+    assert_perl_runs_are_truncated(&telemetry_dir.join("table4.manifest.json"));
+    assert!(trace_files(&cwd).is_empty());
+
+    // The whole campaign, where Tables 5-9 share the BTB-baseline timing
+    // walk of perl and of gcc through the campaign memo: the shared walk
+    // is of the truncated trace, and a retried cell renders what a clean
+    // run renders.
+    let out = run_tool(
+        env!("CARGO_BIN_EXE_repro_all"),
+        &cwd,
+        &[
+            ("REPRO_FAULTS", "truncate:perl:0.5,flaky:table5/gcc:1"),
+            ("REPRO_JOBS", "2"),
+            ("REPRO_RUN_ID", "faulted"),
+            ("REPRO_TELEMETRY", "summary"),
+            ("REPRO_TELEMETRY_DIR", telemetry_dir.to_str().unwrap()),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("1 needed retries"),
+        "{}",
+        stdout(&out)
+    );
+    let perl_hits = assert_perl_runs_are_truncated(&telemetry_dir.join("repro_all.manifest.json"));
+    assert!(perl_hits > 0, "no walk of perl was shared");
+    let clean = run_tool(
+        env!("CARGO_BIN_EXE_table5"),
+        &cwd,
+        &[("REPRO_RUN_ID", "clean")],
+    );
+    assert_eq!(clean.status.code(), Some(0), "stderr:\n{}", stderr(&clean));
+    assert_eq!(
+        journaled_data(&cwd, "faulted", "table5/gcc"),
+        journaled_data(&cwd, "clean", "table5/gcc")
+    );
+    let _ = fs::remove_dir_all(cwd);
+}
+
+/// Every walk of perl in the manifest saw half its budget and every walk
+/// of gcc its full budget; every memo hit names a run of its own
+/// benchmark. Returns the number of memo hits on perl.
+fn assert_perl_runs_are_truncated(manifest: &Path) -> usize {
+    let manifest = fs::read_to_string(manifest).expect("manifest written");
     let manifest = parse(manifest.trim()).expect("manifest parses");
     let runs = manifest.get("runs").and_then(Json::as_arr).expect("runs");
     let instructions = |bench: Benchmark| -> Vec<u64> {
@@ -181,6 +228,31 @@ fn generation_truncation_shortens_the_trace_and_the_cell_succeeds() {
     assert!(perl.iter().all(|&n| n == half), "perl walks: {perl:?}");
     let full = Scale::Quick.budget(&Benchmark::Gcc.workload()) as u64;
     assert!(gcc.iter().all(|&n| n == full), "gcc walks: {gcc:?}");
-    assert!(trace_files(&cwd).is_empty());
-    let _ = fs::remove_dir_all(cwd);
+    let hits = manifest
+        .get("memo")
+        .and_then(|m| m.get("hits"))
+        .and_then(Json::as_arr)
+        .map_or(&[][..], |h| h);
+    for hit in hits {
+        let producer = runs
+            .iter()
+            .find(|r| r.get("id") == hit.get("run"))
+            .unwrap_or_else(|| panic!("hit names no run: {hit:?}"));
+        assert_eq!(producer.get("label"), hit.get("label"), "{hit:?}");
+    }
+    let perl = Json::from(Benchmark::Perl.name());
+    hits.iter()
+        .filter(|h| h.get("label") == Some(&perl))
+        .count()
+}
+
+/// The data the journal of run `run` (under `cwd`) recorded for `cell`.
+fn journaled_data(cwd: &Path, run: &str, cell: &str) -> String {
+    let path = cwd.join(format!("results/journal/{run}.jsonl"));
+    let text = fs::read_to_string(&path).expect("journal written");
+    text.lines()
+        .map(|line| parse(line).expect("journal line parses"))
+        .find(|record| record.get("cell").and_then(Json::as_str) == Some(cell))
+        .and_then(|record| record.get("data").map(ToString::to_string))
+        .unwrap_or_else(|| panic!("{} has no data for {cell}", path.display()))
 }

@@ -66,7 +66,7 @@ pub use fsio::{atomic_write, atomic_write_str};
 pub use id::{SpanId, TraceId};
 pub use json::Json;
 pub use lifecycle::{CampaignEvent, CampaignSink, CellTally};
-pub use manifest::{CellRecord, RunManifest, RunRecord};
+pub use manifest::{CellRecord, MemoHit, MemoSection, RunManifest, RunRecord};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use prof::{HotProfiler, PhaseStat, PhaseTimer, ProfMode};
 pub use progress::{

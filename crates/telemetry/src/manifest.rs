@@ -26,6 +26,10 @@ pub fn per_sec(count: u64, wall_ns: u64) -> f64 {
 /// Counters and identity for one benchmark run inside an experiment.
 #[derive(Clone, Debug, Default)]
 pub struct RunRecord {
+    /// The run's id within its manifest (`r<index into runs>`), which
+    /// memo hits name as the run that produced their result. Empty for
+    /// records built outside a session.
+    pub id: String,
     /// Benchmark label (`perl`, `gcc`, …).
     pub label: String,
     /// Which model walked the trace: `functional` (the prediction
@@ -68,7 +72,7 @@ impl RunRecord {
     }
 
     fn to_json(&self) -> Json {
-        obj([
+        let json = obj([
             ("label", Json::from(self.label.as_str())),
             ("mode", Json::from(self.mode.as_str())),
             ("machine", Json::from(self.machine.as_str())),
@@ -84,6 +88,77 @@ impl RunRecord {
                 ),
             ),
             ("wall_ns", Json::from(self.wall_ns)),
+        ]);
+        let Json::Obj(mut fields) = json else {
+            unreachable!("obj() builds an object");
+        };
+        if !self.id.is_empty() {
+            fields.insert("id".to_string(), Json::from(self.id.as_str()));
+        }
+        Json::Obj(fields)
+    }
+}
+
+/// A walk request a campaign served from its memo instead of walking:
+/// which cell asked, for what, and which manifest run produced the
+/// result. Hits are not runs, so `runs` stays one record per walk.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MemoHit {
+    /// The cell served (`table5/perl`).
+    pub cell: String,
+    /// Benchmark label of the trace.
+    pub label: String,
+    /// The requested walk's mode (`functional` or `timing`).
+    pub mode: String,
+    /// The requested walk's machine name.
+    pub machine: String,
+    /// The requested walk's predictor configuration.
+    pub config: String,
+    /// The [`RunRecord::id`] of the walk that produced the result.
+    pub run: String,
+}
+
+impl MemoHit {
+    fn to_json(&self) -> Json {
+        obj([
+            ("cell", Json::from(self.cell.as_str())),
+            ("label", Json::from(self.label.as_str())),
+            ("mode", Json::from(self.mode.as_str())),
+            ("machine", Json::from(self.machine.as_str())),
+            ("config", Json::from(self.config.as_str())),
+            ("run", Json::from(self.run.as_str())),
+        ])
+    }
+}
+
+/// A memoized campaign's sharing: how many walks and trace generations
+/// it ran, how many requests it answered from earlier ones, and each
+/// answered walk request.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MemoSection {
+    /// Walks simulated (equals the campaign's `runs`).
+    pub walks: u64,
+    /// Walk requests answered from the memo.
+    pub memo_hits: u64,
+    /// Traces generated.
+    pub generations: u64,
+    /// Trace requests answered by an already generated trace.
+    pub trace_hits: u64,
+    /// One record per memo hit.
+    pub hits: Vec<MemoHit>,
+}
+
+impl MemoSection {
+    fn to_json(&self) -> Json {
+        obj([
+            ("walks", Json::from(self.walks)),
+            ("memo_hits", Json::from(self.memo_hits)),
+            ("generations", Json::from(self.generations)),
+            ("trace_hits", Json::from(self.trace_hits)),
+            (
+                "hits",
+                Json::Arr(self.hits.iter().map(MemoHit::to_json).collect()),
+            ),
         ])
     }
 }
@@ -170,6 +245,8 @@ pub struct RunManifest {
     pub wall_ns: u64,
     /// Hot-path phase totals (`REPRO_PROF=full` only; empty otherwise).
     pub hot_phases: Vec<PhaseStat>,
+    /// The campaign memo's counters and hits (memoized campaigns only).
+    pub memo: Option<MemoSection>,
 }
 
 impl RunManifest {
@@ -320,6 +397,9 @@ impl RunManifest {
         if let Some(sampling) = Self::sampling_json(metrics) {
             fields.insert("sampling".to_string(), sampling);
         }
+        if let Some(memo) = &self.memo {
+            fields.insert("memo".to_string(), memo.to_json());
+        }
         Json::Obj(fields)
     }
 
@@ -464,6 +544,59 @@ mod tests {
             cells[1].get("reason").unwrap().as_str(),
             Some("panicked: injected")
         );
+    }
+
+    #[test]
+    fn memo_section_names_the_producing_run() {
+        let mut m = RunManifest::new("repro_all");
+        let mut run = RunRecord::new("perl", "btb-only");
+        run.id = "r0".to_string();
+        m.push_run(run);
+        m.push_run(RunRecord::new("gcc", "btb-only"));
+        m.memo = Some(MemoSection {
+            walks: 2,
+            memo_hits: 1,
+            generations: 2,
+            trace_hits: 5,
+            hits: vec![MemoHit {
+                cell: "table6/perl".into(),
+                label: "perl".into(),
+                mode: "timing".into(),
+                machine: "isca97".into(),
+                config: "btb-only".into(),
+                run: "r0".into(),
+            }],
+        });
+        let mut buf = Vec::new();
+        m.write_to(
+            &mut buf,
+            &SpanRegistry::new(),
+            &MetricsRegistry::new().snapshot(),
+        )
+        .unwrap();
+        let v = parse(String::from_utf8(buf).unwrap().trim()).unwrap();
+        let runs = v.get("runs").unwrap().as_arr().unwrap();
+        assert_eq!(runs[0].get("id").unwrap().as_str(), Some("r0"));
+        assert!(runs[1].get("id").is_none(), "unnamed runs carry no id");
+        let memo = v.get("memo").unwrap();
+        assert_eq!(memo.get("walks").unwrap().as_u64(), Some(2));
+        assert_eq!(memo.get("trace_hits").unwrap().as_u64(), Some(5));
+        let hit = &memo.get("hits").unwrap().as_arr().unwrap()[0];
+        assert_eq!(hit.get("cell").unwrap().as_str(), Some("table6/perl"));
+        assert_eq!(hit.get("run"), runs[0].get("id"));
+        // Manifests of unmemoized tools keep their shape.
+        m.memo = None;
+        let mut buf = Vec::new();
+        m.write_to(
+            &mut buf,
+            &SpanRegistry::new(),
+            &MetricsRegistry::new().snapshot(),
+        )
+        .unwrap();
+        assert!(parse(String::from_utf8(buf).unwrap().trim())
+            .unwrap()
+            .get("memo")
+            .is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use sim_isa::InstrClass;
 use target_cache::harness::FrontEndConfig;
 
 /// Data cache geometry and timing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DCacheConfig {
     /// Total capacity in bytes (the paper simulates a 16 KB data cache).
     pub size_bytes: usize,
@@ -46,7 +46,7 @@ impl DCacheConfig {
 }
 
 /// Full machine configuration for the timing model.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MachineConfig {
     /// Instructions fetched per cycle (stops at a taken branch).
     pub fetch_width: usize,
