@@ -10,7 +10,7 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{timing, trace, Scale, ISCA97};
+use crate::runner::{timings, trace, Scale, ISCA97};
 use crate::telemetry::TelemetryCtx;
 use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
@@ -35,13 +35,17 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark.workload(), scale);
-    let run = |frontend| timing(ctx, &t, &MachineConfig::isca97(frontend), ISCA97);
-    let base = run(FrontEndConfig::isca97_baseline());
-    let tc = run(FrontEndConfig::isca97_with(best_tagless_for(benchmark)));
-    let oracle = run(FrontEndConfig::isca97_oracle());
+    let machines = [
+        FrontEndConfig::isca97_baseline(),
+        FrontEndConfig::isca97_with(best_tagless_for(benchmark)),
+        FrontEndConfig::isca97_oracle(),
+    ]
+    .map(MachineConfig::isca97);
+    let reports = timings(ctx, &t, &machines, ISCA97);
+    let (base, tc, oracle) = (&reports[0], &reports[1], &reports[2]);
     let mut d = CellData::new();
-    d.set("target_cache", tc.exec_time_reduction_vs(&base));
-    d.set("oracle", oracle.exec_time_reduction_vs(&base));
+    d.set("target_cache", tc.exec_time_reduction_vs(base));
+    d.set("oracle", oracle.exec_time_reduction_vs(base));
     d
 }
 

@@ -13,9 +13,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{timing, trace, Scale, ISCA97};
+use crate::runner::{timings, trace, Scale, ISCA97};
 use crate::telemetry::TelemetryCtx;
-use hps_uarch::{MachineConfig, SimReport};
+use hps_uarch::MachineConfig;
 use sim_workloads::OoBenchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
@@ -63,18 +63,19 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let mut d = CellData::new();
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
     d.set("indirect_fraction", stats.indirect_jump_fraction());
-    let reports: Vec<(&str, SimReport)> = configs()
-        .into_iter()
-        .map(|(name, tc)| {
-            let fe = match tc {
+    let configs = configs();
+    let machines: Vec<MachineConfig> = configs
+        .iter()
+        .map(|(_, tc)| {
+            MachineConfig::isca97(match tc {
                 None => FrontEndConfig::isca97_baseline(),
-                Some(tc) => FrontEndConfig::isca97_with(tc),
-            };
-            (name, timing(ctx, &t, &MachineConfig::isca97(fe), ISCA97))
+                Some(tc) => FrontEndConfig::isca97_with(*tc),
+            })
         })
         .collect();
-    let base = &reports[0].1;
-    for (name, report) in &reports {
+    let reports = timings(ctx, &t, &machines, ISCA97);
+    let base = &reports[0];
+    for ((name, _), report) in configs.iter().zip(&reports) {
         d.set(
             format!("mispred.{name}"),
             report.branch_stats.indirect_jump_misprediction_rate(),

@@ -16,7 +16,7 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{timing, trace, Scale};
+use crate::runner::{timings, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
@@ -66,11 +66,11 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let tc = best_tagless_for(benchmark);
     let mut d = CellData::new();
     for (name, machine) in machines() {
-        let base = timing(ctx, &t, &machine, name);
         let mut with_tc = machine.clone();
         with_tc.frontend = FrontEndConfig::isca97_with(tc);
-        let faster = timing(ctx, &t, &with_tc, name);
-        d.set(format!("red.{name}"), faster.exec_time_reduction_vs(&base));
+        let reports = timings(ctx, &t, &[machine, with_tc], name);
+        let (base, faster) = (&reports[0], &reports[1]);
+        d.set(format!("red.{name}"), faster.exec_time_reduction_vs(base));
         d.set(format!("ipc.{name}"), base.ipc());
     }
     d

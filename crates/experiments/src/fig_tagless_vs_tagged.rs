@@ -13,11 +13,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, Scale, ISCA97};
+use crate::runner::{reduction_cell, trace, Scale};
 use crate::telemetry::TelemetryCtx;
-use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
 /// Associativities swept for the tagged series (the figures use 1..=256).
@@ -33,20 +31,17 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark.workload(), scale);
-    let baseline = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
-    let base = timing(ctx, &t, &baseline, ISCA97);
-    let mut d = CellData::new();
-    d.set(
-        "tagless",
-        exec_reduction_with_base(ctx, &t, &base, TargetCacheConfig::isca97_tagless_gshare()),
-    );
+    let mut declared = vec![(
+        "tagless".to_string(),
+        TargetCacheConfig::isca97_tagless_gshare(),
+    )];
     for &assoc in &ASSOCS {
-        d.set(
+        declared.push((
             format!("tagged.{assoc}"),
-            exec_reduction_with_base(ctx, &t, &base, TargetCacheConfig::isca97_tagged(assoc)),
-        );
+            TargetCacheConfig::isca97_tagged(assoc),
+        ));
     }
-    d
+    reduction_cell(ctx, &t, declared)
 }
 
 /// Renders a (possibly partial) cell set as the figures' series.

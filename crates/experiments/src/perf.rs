@@ -72,8 +72,13 @@ impl Scenario {
 ///   baseline front end, all 8 benchmarks.
 /// * `functional-tc/<bench>` — functional prediction with the paper's
 ///   tagless gshare target cache, all 8 benchmarks.
-/// * `timing/<bench>` — the cycle-level timing model on the two
-///   heaviest indirect-jump workloads (perl, gcc).
+/// * `timing/<bench>` — one timing walk of the BTB-only baseline on the
+///   two heaviest indirect-jump workloads (perl, gcc), through the
+///   runner's split engine as a campaign runs it, unmemoized: a harness
+///   pass, a preparation of the trace, and a schedule.
+/// * `timing-ref/<bench>` — the same walk on the reference engine,
+///   [`hps_uarch::simulate`], on the same trace: `timing/<bench>` over
+///   `timing-ref/<bench>` is a same-run ratio, independent of the host.
 /// * `analysis-static` — the full static-analysis stack (verification
 ///   plus the predictability profile) over all 8 benchmark models.
 /// * `analysis-conformance` — trace-conformance replay of the shared
@@ -188,6 +193,15 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
             claim(bench);
             let machine = hps_uarch::MachineConfig::isca97(FrontEndConfig::isca97_baseline());
             runner::timing(&ctx, &trace, &machine, runner::ISCA97).instructions
+        }));
+    }
+    for bench in [Benchmark::Perl, Benchmark::Gcc] {
+        let trace = Rc::clone(&traces[bench.name()]);
+        let claim = claim.clone();
+        scenarios.push(Scenario::new(format!("timing-ref/{bench}"), move || {
+            claim(bench);
+            let machine = hps_uarch::MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+            hps_uarch::simulate(trace.get(), &machine).instructions
         }));
     }
     scenarios.push(Scenario::new("analysis-static", move || {
@@ -836,13 +850,16 @@ mod tests {
             assert!(names.contains(&format!("functional-btb/{bench}")));
             assert!(names.contains(&format!("functional-tc/{bench}")));
         }
-        assert!(names.contains(&"timing/perl".to_string()));
+        for bench in ["perl", "gcc"] {
+            assert!(names.contains(&format!("timing/{bench}")));
+            assert!(names.contains(&format!("timing-ref/{bench}")));
+        }
         assert!(names.contains(&"analysis-static".to_string()));
         assert!(names.contains(&"analysis-conformance".to_string()));
         assert!(names.contains(&"simpoint-fingerprint".to_string()));
         assert!(names.contains(&"simpoint-sampled-table1".to_string()));
         assert!(names.contains(&"e2e/table1".to_string()));
-        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 1);
+        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 2 + 1);
     }
 
     #[test]

@@ -10,11 +10,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, PathScheme, Scale, ISCA97};
+use crate::runner::{reduction_cell, trace, PathScheme, Scale};
 use crate::telemetry::TelemetryCtx;
-use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{Organization, TargetCacheConfig};
 
 /// Bits-per-target values studied (the paper uses 1, 2, 3).
@@ -35,9 +33,7 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark.workload(), scale);
-    let baseline = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
-    let base = timing(ctx, &t, &baseline, ISCA97);
-    let mut d = CellData::new();
+    let mut declared = Vec::new();
     for &bits in &BITS_PER_TARGET {
         for scheme in PathScheme::all() {
             let config = TargetCacheConfig::new(
@@ -47,13 +43,10 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
                 },
                 scheme.source(9, bits, 0),
             );
-            d.set(
-                key(bits, &scheme),
-                exec_reduction_with_base(ctx, &t, &base, config),
-            );
+            declared.push((key(bits, &scheme), config));
         }
     }
-    d
+    reduction_cell(ctx, &t, declared)
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 6.

@@ -12,11 +12,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, Scale, ISCA97};
+use crate::runner::{reduction_cell, trace, Scale};
 use crate::telemetry::TelemetryCtx;
-use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{HistorySource, Organization, TaggedIndexScheme, TargetCacheConfig};
 
 /// Associativities studied (the paper sweeps 1..=256; we sample it).
@@ -37,9 +35,7 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark.workload(), scale);
-    let baseline = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
-    let base = timing(ctx, &t, &baseline, ISCA97);
-    let mut d = CellData::new();
+    let mut declared = Vec::new();
     for &assoc in &ASSOCS {
         for &scheme in &TaggedIndexScheme::ALL {
             let config = TargetCacheConfig::new(
@@ -50,13 +46,10 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
                 },
                 HistorySource::Pattern { bits: 9 },
             );
-            d.set(
-                key(assoc, scheme),
-                exec_reduction_with_base(ctx, &t, &base, config),
-            );
+            declared.push((key(assoc, scheme), config));
         }
     }
-    d
+    reduction_cell(ctx, &t, declared)
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 7.

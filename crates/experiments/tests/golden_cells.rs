@@ -1,19 +1,24 @@
-//! Golden cell digest: every registry experiment's cells at quick scale,
-//! pinned bit for bit.
+//! Golden cell digests: every registry experiment's cells at quick and
+//! at standard scale, pinned bit for bit.
 //!
 //! Each cell reduces to one FNV-1a-64 digest over its keys (in their
 //! sorted order) and the IEEE-754 bits of their values, and the digests
-//! are compared against `tests/golden/quick_cells.txt`, one line per cell:
-//! `<experiment>/<label> <hex digest>`. Any change to a reported number —
-//! a table value, a figure bucket, a cost — fails this test by name.
+//! are compared against `tests/golden/<scale>_cells.txt`, one line per
+//! cell: `<experiment>/<label> <hex digest>`. Any change to a reported
+//! number — a table value, a figure bucket, a cost — fails this test by
+//! name.
 //!
-//! Both the naive per-cell computation and a memoized two-worker
-//! campaign are pinned to the same file.
+//! At each scale both the naive per-cell computation and a memoized
+//! two-worker campaign are pinned to the same file. The standard file
+//! was generated with the reference timing engine (`hps_uarch::simulate`
+//! walked once per request), so it also pins the campaign's prepared,
+//! lockstep timing path to the reference engine's numbers at the scale
+//! the table binaries report.
 //!
 //! On a mismatch the test writes the digests it computed to
-//! `target/tmp/quick_cells.actual.txt`. When a change to the numbers is
-//! intended, review the failing cells and copy that file over the golden
-//! one by hand.
+//! `target/tmp/<scale>_cells[.memoized].actual.txt`. When a change to the
+//! numbers is intended, review the failing cells and copy that file over
+//! the golden one by hand.
 
 use experiments::jobs::cli::cell_tasks;
 use experiments::jobs::{
@@ -51,32 +56,46 @@ fn lines_by_id(text: &str) -> BTreeMap<&str, &str> {
         .collect()
 }
 
-#[test]
-fn quick_cells_match_the_golden_digest() {
+/// Every registry experiment's cells at `scale`, computed one cell at a
+/// time without a memo, as digest lines.
+fn naive_digests(scale: Scale) -> String {
     let ctx = TelemetryCtx::off();
     let mut actual = String::new();
     for def in registry::all() {
-        let cells = def.compute(&ctx, Scale::Quick);
+        let cells = def.compute(&ctx, scale);
         for label in (def.labels)() {
             let data = cells.data(label).expect("computed cells all succeed");
             actual.push_str(&format!("{}/{label} {:016x}\n", def.name, digest(data)));
         }
     }
-
-    assert_golden(&actual, "quick_cells.actual.txt");
+    actual
 }
 
-/// Compares `actual` digests with the golden file; on a mismatch writes
-/// them to `<target tmp>/<out_name>` and fails naming the moved cells.
-fn assert_golden(actual: &str, out_name: &str) {
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_cells.txt");
+#[test]
+fn quick_cells_match_the_golden_digest() {
+    assert_golden(&naive_digests(Scale::Quick), Scale::Quick, "");
+}
+
+#[test]
+fn standard_cells_match_the_golden_digest() {
+    assert_golden(&naive_digests(Scale::Standard), Scale::Standard, "");
+}
+
+/// Compares `actual` digests with the golden file of `scale`; on a
+/// mismatch writes them to `<target tmp>/<scale>_cells<variant>.actual.txt`
+/// and fails naming the moved cells.
+fn assert_golden(actual: &str, scale: Scale, variant: &str) {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{}_cells.txt", scale.name()));
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
     if actual == golden {
         return;
     }
 
-    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(out_name);
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{}_cells{variant}.actual.txt", scale.name()));
     std::fs::write(&out, actual).expect("write actual digests");
     let (want, got) = (lines_by_id(&golden), lines_by_id(actual));
     let mut differing: Vec<&str> = want
@@ -94,29 +113,30 @@ fn assert_golden(actual: &str, out_name: &str) {
     );
 }
 
-/// The memoized campaign (two workers sharing walks and traces through
-/// one memo) reports exactly what the naive per-cell computation does,
-/// and it shares: no walk of the same trace under the same configuration
-/// runs twice, and each of the ten traces (eight SPECint95 benchmarks
-/// plus the two OO programs) is generated once.
-#[test]
-fn memoized_campaign_matches_the_golden_digest() {
-    let dir = std::env::temp_dir().join(format!("repro-golden-memo-{}", std::process::id()));
+/// Runs every registry experiment at `scale` as one memoized campaign
+/// on `workers` workers, with summary telemetry; returns the cells'
+/// digest lines and the parsed run manifest.
+fn memoized_campaign(scale: Scale, workers: usize) -> (String, Json) {
+    let dir = std::env::temp_dir().join(format!(
+        "repro-golden-memo-{}-{}",
+        scale.name(),
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let config = TelemetryConfig {
         mode: TelemetryMode::Summary,
         dir: dir.clone(),
         ..TelemetryConfig::off()
     };
-    let session = telemetry::session_with_config("memo-golden", Scale::Quick, config);
+    let session = telemetry::session_with_config("memo-golden", scale, config);
     let manifest_path = session.manifest_path();
-    let ctx = session.ctx().memoized(2);
+    let ctx = session.ctx().memoized(workers);
     let defs = registry::all();
-    let tasks = cell_tasks(&defs, &ctx, Scale::Quick);
-    let mut journal = Journal::create(&dir, "memo", "memo-golden", Scale::Quick, tasks.len())
-        .expect("create journal");
+    let tasks = cell_tasks(&defs, &ctx, scale);
+    let mut journal =
+        Journal::create(&dir, "memo", "memo-golden", scale, tasks.len()).expect("create journal");
     let runner = RunnerConfig {
-        workers: 2,
+        workers,
         ..RunnerConfig::default()
     };
     let outcome = run_campaign(tasks, &runner, &mut journal, &ctx, &RunControls::default())
@@ -131,12 +151,21 @@ fn memoized_campaign_matches_the_golden_digest() {
             actual.push_str(&format!("{id} {:016x}\n", digest(data)));
         }
     }
-    assert_golden(&actual, "quick_cells.memoized.actual.txt");
-
     drop(ctx);
     drop(session);
     let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
     let manifest = parse(text.trim()).expect("manifest parses");
+    let _ = std::fs::remove_dir_all(&dir);
+    (actual, manifest)
+}
+
+/// Checks a memoized campaign's manifest: no walk of the same trace
+/// under the same configuration runs twice, each of the ten traces
+/// (eight SPECint95 benchmarks plus the two OO programs) is generated
+/// once, and the memo's counters reconcile with the runs: one
+/// `functional` run per harness pass, one `timing` run per schedule, and
+/// one preparation per trace with timing walks.
+fn assert_walked_once(manifest: &Json) {
     let runs = manifest.get("runs").and_then(Json::as_arr).expect("runs");
     // A walk is identified by what it simulated and everything it
     // counted: the manifest's config name leaves out the BTB and
@@ -157,12 +186,40 @@ fn memoized_campaign_matches_the_golden_digest() {
     let memo = manifest.get("memo").expect("memo section");
     let count = |field: &str| memo.get(field).and_then(Json::as_u64).unwrap();
     assert_eq!(count("walks"), runs.len() as u64);
-    let traces: BTreeSet<_> = runs
-        .iter()
-        .filter_map(|r| r.get("label"))
-        .map(ToString::to_string)
-        .collect();
-    assert_eq!(traces.len(), 10, "{traces:?}");
+    let labels = |mode: Option<&str>| -> BTreeSet<String> {
+        runs.iter()
+            .filter(|r| mode.is_none() || r.get("mode").and_then(Json::as_str) == mode)
+            .filter_map(|r| r.get("label"))
+            .map(ToString::to_string)
+            .collect()
+    };
+    let of_mode = |mode: &str| {
+        runs.iter()
+            .filter(|r| r.get("mode").and_then(Json::as_str) == Some(mode))
+            .count() as u64
+    };
+    assert_eq!(count("harness_passes"), of_mode("functional"));
+    assert_eq!(count("schedules"), of_mode("timing"));
+    assert_eq!(count("preparations"), labels(Some("timing")).len() as u64);
+    assert_eq!(labels(None).len(), 10, "{:?}", labels(None));
     assert_eq!(count("generations"), 10);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The memoized campaign (two workers sharing walks and traces through
+/// one memo) reports exactly what the naive per-cell computation does,
+/// and it shares every walk and trace.
+#[test]
+fn memoized_campaign_matches_the_golden_digest() {
+    let (actual, manifest) = memoized_campaign(Scale::Quick, 2);
+    assert_golden(&actual, Scale::Quick, ".memoized");
+    assert_walked_once(&manifest);
+}
+
+/// The memoized two-worker campaign at standard scale, the scale the
+/// table binaries report, matches the reference engine's digests.
+#[test]
+fn memoized_standard_campaign_matches_the_golden_digest() {
+    let (actual, manifest) = memoized_campaign(Scale::Standard, 2);
+    assert_golden(&actual, Scale::Standard, ".memoized");
+    assert_walked_once(&manifest);
 }

@@ -46,7 +46,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     let report = BenchReport::parse(&text).expect("strict parse");
     assert_eq!(report.scale, "quick");
     assert_eq!(report.iters, 1);
-    assert_eq!(report.scenarios.len(), 8 * 5 + 2 + 2 + 2 + 1);
+    assert_eq!(report.scenarios.len(), 8 * 5 + 2 + 2 + 2 + 2 + 1);
     for bench in [
         "compress", "gcc", "go", "ijpeg", "m88ksim", "perl", "vortex", "xlisp",
     ] {
@@ -75,6 +75,15 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
                 "{layer}/{bench} bytes/instr implausible"
             );
         }
+    }
+
+    // The timing model and its reference engine walk the same traces, so
+    // every snapshot carries their same-run ratio.
+    for bench in ["perl", "gcc"] {
+        let split = report.scenario(&format!("timing/{bench}")).unwrap();
+        let reference = report.scenario(&format!("timing-ref/{bench}")).unwrap();
+        assert!(split.median_ns > 0 && reference.median_ns > 0);
+        assert_eq!(split.instructions, reference.instructions, "{bench}");
     }
 
     // An unchanged tree passes its own baseline even with a tight gate.

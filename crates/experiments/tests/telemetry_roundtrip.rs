@@ -150,26 +150,36 @@ fn str_field<'a>(run: &'a Json, key: &str) -> &'a str {
     run.get(key).and_then(Json::as_str).unwrap()
 }
 
+/// The runs of one mode.
+fn of_mode<'a>(runs: &'a [Json], mode: &str) -> Vec<&'a Json> {
+    runs.iter()
+        .filter(|r| str_field(r, "mode") == mode)
+        .collect()
+}
+
+/// How many times a span leaf was entered.
+fn span_count(spans: &Json, name: &str) -> Option<u64> {
+    spans.get(name)?.get("count")?.as_u64()
+}
+
 #[test]
 fn oo_walks_are_attributed_to_their_benchmark() {
     let (runs, spans) = manifest_of("extension_oo");
-    // One timing walk per configuration per OO benchmark.
-    assert_eq!(runs.len(), 8);
+    // One timing walk per configuration per OO benchmark, each a harness
+    // pass of its front end (a functional run) and a schedule (a timing
+    // run).
+    assert_eq!(of_mode(&runs, "timing").len(), 8);
+    assert_eq!(of_mode(&runs, "functional").len(), 8);
+    assert_eq!(runs.len(), 16);
     for run in &runs {
         assert!(
             ["ixx", "deltablue"].contains(&str_field(run, "label")),
             "{run:?}"
         );
-        assert_eq!(str_field(run, "mode"), "timing");
         assert_eq!(str_field(run, "machine"), "isca97");
     }
     assert_eq!(
-        spans
-            .get("workload-gen")
-            .unwrap()
-            .get("count")
-            .unwrap()
-            .as_u64(),
+        span_count(&spans, "workload-gen"),
         Some(2),
         "each OO trace is generated under the workload-gen span"
     );
@@ -183,19 +193,22 @@ fn scaling_walks_are_recorded_under_their_machine() {
         .map(|(name, _)| *name)
         .collect();
     // Baseline and target cache on each machine, per focus benchmark.
-    assert_eq!(runs.len(), 2 * machines.len() * Benchmark::FOCUS.len());
-    for run in &runs {
-        assert_eq!(str_field(run, "mode"), "timing");
+    let timing = of_mode(&runs, "timing");
+    assert_eq!(timing.len(), 2 * machines.len() * Benchmark::FOCUS.len());
+    for run in &timing {
         assert!(machines.contains(&str_field(run, "machine")), "{run:?}");
     }
     assert_eq!(
-        spans
-            .get("uarch-sim")
-            .unwrap()
-            .get("count")
-            .unwrap()
-            .as_u64(),
-        Some(runs.len() as u64),
-        "every walk is timed under the uarch-sim span"
+        span_count(&spans, "uarch-sim"),
+        Some(timing.len() as u64),
+        "every schedule is timed under the uarch-sim span"
+    );
+    // Outside a campaign every batch replays its own front ends.
+    let functional = of_mode(&runs, "functional");
+    assert_eq!(functional.len(), timing.len());
+    assert_eq!(
+        span_count(&spans, "harness-replay"),
+        Some(functional.len() as u64),
+        "every harness pass is timed under the harness-replay span"
     );
 }

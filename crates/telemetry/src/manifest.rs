@@ -134,10 +134,23 @@ impl MemoHit {
 /// A memoized campaign's sharing: how many walks and trace generations
 /// it ran, how many requests it answered from earlier ones, and each
 /// answered walk request.
+///
+/// A walk is a harness pass (a `functional` run: one front end replayed
+/// over one trace, which answers functional requests and feeds every
+/// timing walk of that front end) or a schedule (a `timing` run: one
+/// machine scheduled over a prepared trace).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MemoSection {
-    /// Walks simulated (equals the campaign's `runs`).
+    /// Walks simulated (equals the campaign's `runs`, and
+    /// `harness_passes + schedules`).
     pub walks: u64,
+    /// Harness passes: one per distinct (trace, front end).
+    pub harness_passes: u64,
+    /// Schedules: one per distinct (trace, machine).
+    pub schedules: u64,
+    /// Traces prepared for the timing model: one per distinct (trace,
+    /// class latencies, data cache).
+    pub preparations: u64,
     /// Walk requests answered from the memo.
     pub memo_hits: u64,
     /// Traces generated.
@@ -152,6 +165,9 @@ impl MemoSection {
     fn to_json(&self) -> Json {
         obj([
             ("walks", Json::from(self.walks)),
+            ("harness_passes", Json::from(self.harness_passes)),
+            ("schedules", Json::from(self.schedules)),
+            ("preparations", Json::from(self.preparations)),
             ("memo_hits", Json::from(self.memo_hits)),
             ("generations", Json::from(self.generations)),
             ("trace_hits", Json::from(self.trace_hits)),
@@ -555,6 +571,9 @@ mod tests {
         m.push_run(RunRecord::new("gcc", "btb-only"));
         m.memo = Some(MemoSection {
             walks: 2,
+            harness_passes: 1,
+            schedules: 1,
+            preparations: 1,
             memo_hits: 1,
             generations: 2,
             trace_hits: 5,
@@ -580,6 +599,9 @@ mod tests {
         assert!(runs[1].get("id").is_none(), "unnamed runs carry no id");
         let memo = v.get("memo").unwrap();
         assert_eq!(memo.get("walks").unwrap().as_u64(), Some(2));
+        assert_eq!(memo.get("harness_passes").unwrap().as_u64(), Some(1));
+        assert_eq!(memo.get("schedules").unwrap().as_u64(), Some(1));
+        assert_eq!(memo.get("preparations").unwrap().as_u64(), Some(1));
         assert_eq!(memo.get("trace_hits").unwrap().as_u64(), Some(5));
         let hit = &memo.get("hits").unwrap().as_arr().unwrap()[0];
         assert_eq!(hit.get("cell").unwrap().as_str(), Some("table6/perl"));

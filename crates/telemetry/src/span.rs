@@ -98,10 +98,19 @@ impl SpanRegistry {
     /// live on the calling thread, the new span becomes its child
     /// (recorded under the `parent;child` path).
     pub fn span(&self, name: &str) -> SpanGuard {
+        self.span_of(name, 1)
+    }
+
+    /// [`SpanRegistry::span`] for one scope that does `count` units of
+    /// work together (a lockstep batch of walks): it is recorded as
+    /// `count` entries of `name`, so per-name counts still count units
+    /// of work, and its elapsed time is shared by them.
+    pub fn span_of(&self, name: &str, count: u64) -> SpanGuard {
         if !self.enabled() {
             return SpanGuard {
                 registry: self.clone(),
                 path: None,
+                count,
                 started: Instant::now(),
             };
         }
@@ -118,14 +127,15 @@ impl SpanRegistry {
         SpanGuard {
             registry: self.clone(),
             path: Some(path),
+            count,
             started: Instant::now(),
         }
     }
 
-    fn record(&self, path: &str, elapsed_ns: u64) {
+    fn record(&self, path: &str, count: u64, elapsed_ns: u64) {
         let mut map = self.0.totals.lock().expect("span registry poisoned");
         let entry = map.entry(path.to_string()).or_default();
-        entry.count += 1;
+        entry.count += count;
         entry.total_ns += elapsed_ns;
     }
 
@@ -257,6 +267,8 @@ pub struct SpanGuard {
     /// The full path this guard records under; `None` for a disabled
     /// registry's no-op guard.
     path: Option<String>,
+    /// Entries the span records as (see [`SpanRegistry::span_of`]).
+    count: u64,
     started: Instant,
 }
 
@@ -288,7 +300,7 @@ impl Drop for SpanGuard {
                 stack.remove(i);
             }
         });
-        self.registry.record(&path, elapsed);
+        self.registry.record(&path, self.count, elapsed);
     }
 }
 
@@ -311,6 +323,22 @@ mod tests {
         assert_eq!(snap[0].path, "other"); // BTreeMap order
         assert_eq!(snap[1].path, "work");
         assert_eq!(snap[1].count, 3);
+    }
+
+    #[test]
+    fn a_batch_span_counts_its_units_of_work() {
+        let spans = SpanRegistry::new();
+        {
+            let _outer = spans.span("cell");
+            let _batch = spans.span_of("walk", 6);
+        }
+        let _ = spans.span_of("walk", 2);
+        let snap = spans.snapshot();
+        let count = |path: &str| snap.iter().find(|s| s.path == path).unwrap().count;
+        assert_eq!(count("cell"), 1);
+        assert_eq!(count("cell;walk"), 6);
+        assert_eq!(count("walk"), 2);
+        assert!(SpanRegistry::disabled().span_of("walk", 3).path().is_none());
     }
 
     #[test]

@@ -27,7 +27,9 @@ impl DCacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+/// One cache line; `lru` is 0 for a line never filled (accesses count
+/// from 1).
+#[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
     lru: u64,
@@ -47,7 +49,9 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct DataCache {
     config: DCacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `assoc` lines per set, set after set.
+    lines: Vec<Line>,
+    sets: usize,
     clock: u64,
     stats: DCacheStats,
 }
@@ -62,38 +66,38 @@ impl DataCache {
         let sets = config.sets();
         DataCache {
             config,
-            sets: vec![Vec::new(); sets],
+            lines: vec![Line::default(); sets * config.assoc],
+            sets,
             clock: 0,
             stats: DCacheStats::default(),
         }
     }
 
-    /// Accesses a byte address; returns whether it hit. Misses allocate.
+    /// Accesses a byte address; returns whether it hit. Misses allocate,
+    /// into an empty way if the set has one, else over the least recently
+    /// used line.
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         let line_addr = addr / self.config.line_bytes as u64;
-        let set_index = (line_addr as usize) & (self.sets.len() - 1);
-        let tag = line_addr / self.sets.len() as u64;
+        let set_index = (line_addr as usize) & (self.sets - 1);
+        let tag = line_addr / self.sets as u64;
         let ways = self.config.assoc;
-        let clock = self.clock;
-        let set = &mut self.sets[set_index];
+        let set = &mut self.lines[set_index * ways..][..ways];
         self.stats.accesses += 1;
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = clock;
+        if let Some(line) = set.iter_mut().find(|l| l.lru != 0 && l.tag == tag) {
+            line.lru = self.clock;
             self.stats.hits += 1;
             return true;
         }
-        if set.len() < ways {
-            set.push(Line { tag, lru: clock });
-        } else {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("set non-empty");
-            set[victim] = Line { tag, lru: clock };
-        }
+        // Empty ways have the lowest `lru`, and fill in order.
+        let victim = set
+            .iter_mut()
+            .min_by_key(|l| l.lru)
+            .expect("a set has at least one way");
+        *victim = Line {
+            tag,
+            lru: self.clock,
+        };
         false
     }
 
